@@ -39,6 +39,13 @@ struct RpcFixture {
         *rpc::RemoteHam::Connect("localhost", port, pipeline_options));
     remote_ctx =
         *client->OpenGraph(graph.project(), "localhost", graph.dir());
+    for (int i = 0; i < kStations; ++i) {
+      Station station;
+      station.client = std::move(*rpc::RemoteHam::Connect("localhost", port));
+      station.ctx = *station.client->OpenGraph(graph.project(), "localhost",
+                                               graph.dir());
+      stations.push_back(std::move(station));
+    }
     // A chain of 100 nodes with contents for traversal benches.
     ham::NodeIndex prev = 0;
     for (int i = 0; i < 100; ++i) {
@@ -54,6 +61,7 @@ struct RpcFixture {
   }
 
   ~RpcFixture() {
+    stations.clear();
     pipelined.reset();
     client.reset();
     server->Stop();
@@ -65,6 +73,13 @@ struct RpcFixture {
   std::unique_ptr<rpc::RemoteHam> client;
   std::unique_ptr<rpc::RemoteHam> pipelined;
   ham::Context remote_ctx;
+  // One plain connection per workstation thread (BM_..SyncClients).
+  static constexpr int kStations = 4;
+  struct Station {
+    std::unique_ptr<rpc::RemoteHam> client;
+    ham::Context ctx;
+  };
+  std::vector<Station> stations;
   std::vector<ham::NodeIndex> nodes;
   ham::NodeIndex big_node = 0;
 };
@@ -131,6 +146,26 @@ BENCHMARK(BM_OpenNodeRemoteShared1InFlight)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_OpenNodeRemoteSharedPipelined)
     ->Threads(8)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+// The microbenchmark shape of paper-session browse traffic: four
+// workstations, each on its own plain connection with one request in
+// flight, issuing small reads back to back. Every call pays the full
+// server hand-off path (read, execute, reply) with no pipelining to
+// hide it.
+void BM_OpenNodeRemoteSyncClients(benchmark::State& state) {
+  RpcFixture* f = Fixture();
+  const RpcFixture::Station& station = f->stations[state.thread_index()];
+  for (auto _ : state) {
+    auto opened = station.client->OpenNode(station.ctx, f->nodes[0], 0, {});
+    benchmark::DoNotOptimize(opened);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+BENCHMARK(BM_OpenNodeRemoteSyncClients)
+    ->Threads(RpcFixture::kStations)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 

@@ -6,7 +6,7 @@
 //   ./neptune_server serve <data-dir> [port] [stats-interval-sec]
 //                    [txn-lease-ms] [idle-timeout-ms]
 //                    [trace-sample-n] [trace-slow-us]
-//                    [--io-threads=N] [--workers=N]
+//                    [--workers=N]
 //       Runs a HAM server (port 0 = pick one) until killed. A nonzero
 //       stats interval logs a one-line metrics summary periodically.
 //       txn-lease-ms > 0 arms the transaction-lease watchdog (silent
@@ -15,8 +15,8 @@
 //       trace-sample-n > 0 records 1-in-N request traces (1 = all,
 //       see `neptune_ctl trace`); trace-slow-us > 0 always logs and
 //       keeps spans slower than that many microseconds.
-//       --io-threads / --workers size the event loop and the request
-//       worker pool (defaults: 1 IO thread, 4 workers).
+//       --workers sizes the thread pool (default 4); the thread that
+//       reads a request also executes it and writes the reply.
 //       --metrics-port=N opens the observability plane on
 //       127.0.0.1:N — GET /metrics (Prometheus), /statusz (JSON
 //       health), /statsz (full registry) — and starts the 1s stats
@@ -100,8 +100,8 @@ int StartObservability(int metrics_port, uint16_t rpc_port,
 
 int RunServe(const std::string& dir, uint16_t port, unsigned stats_interval,
              unsigned txn_lease_ms, unsigned idle_timeout_ms,
-             unsigned trace_sample_n, unsigned trace_slow_us, int io_threads,
-             int workers, int metrics_port) {
+             unsigned trace_sample_n, unsigned trace_slow_us, int workers,
+             int metrics_port) {
   neptune::SetLogLevel(LogLevel::kInfo);
   Env::Default()->CreateDir(dir);
   HamOptions ham_options;
@@ -111,7 +111,6 @@ int RunServe(const std::string& dir, uint16_t port, unsigned stats_interval,
   Ham ham(Env::Default(), ham_options);
   Server::Options server_options;
   server_options.idle_timeout_ms = static_cast<int>(idle_timeout_ms);
-  if (io_threads > 0) server_options.io_threads = io_threads;
   if (workers > 0) server_options.worker_threads = workers;
   Server server(&ham, server_options);
   auto bound = server.Start(port);
@@ -259,17 +258,14 @@ int RunDemo(const std::string& dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Event-loop sizing flags may appear anywhere; the positional args
-  // keep their historical order, so existing invocations still work.
-  int io_threads = 0;
+  // Flags may appear anywhere; the positional args keep their
+  // historical order, so existing invocations still work.
   int workers = 0;
   int metrics_port = -1;  // -1 = observability plane off
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--io-threads=", 0) == 0) {
-      io_threads = std::atoi(arg.c_str() + 13);
-    } else if (arg.rfind("--workers=", 0) == 0) {
+    if (arg.rfind("--workers=", 0) == 0) {
       workers = std::atoi(arg.c_str() + 10);
     } else if (arg.rfind("--metrics-port=", 0) == 0) {
       metrics_port = std::atoi(arg.c_str() + 15);
@@ -285,7 +281,7 @@ int main(int argc, char** argv) {
                    "usage: %s serve <data-dir> [port] [stats-interval-sec]"
                    " [txn-lease-ms] [idle-timeout-ms]"
                    " [trace-sample-n] [trace-slow-us]"
-                   " [--io-threads=N] [--workers=N] [--metrics-port=N]\n",
+                   " [--workers=N] [--metrics-port=N]\n",
                    args[0]);
       return 2;
     }
@@ -302,8 +298,8 @@ int main(int argc, char** argv) {
     const unsigned trace_slow_us =
         nargs > 8 ? static_cast<unsigned>(std::atoi(args[8])) : 0;
     return RunServe(args[2], port, stats_interval, txn_lease_ms,
-                    idle_timeout_ms, trace_sample_n, trace_slow_us, io_threads,
-                    workers, metrics_port);
+                    idle_timeout_ms, trace_sample_n, trace_slow_us, workers,
+                    metrics_port);
   }
   if (mode == "follow") {
     if (nargs < 6) {
@@ -339,7 +335,7 @@ int main(int argc, char** argv) {
                "usage: %s serve <data-dir> [port] [stats-interval-sec]"
                " [txn-lease-ms] [idle-timeout-ms]"
                " [trace-sample-n] [trace-slow-us]"
-               " [--io-threads=N] [--workers=N] [--metrics-port=N]"
+               " [--workers=N] [--metrics-port=N]"
                " | follow <data-dir> <port> <primary-host:port>"
                " <primary-root> [poll-wait-ms] [--metrics-port=N]"
                " | demo [dir]\n",

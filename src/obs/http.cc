@@ -140,7 +140,7 @@ Result<uint16_t> MetricsHttpServer::Start(uint16_t port) {
   if (thread_.joinable()) return port_;
   NEPTUNE_ASSIGN_OR_RETURN(listener_, rpc::Listener::Bind(port));
   NEPTUNE_RETURN_IF_ERROR(listener_->SetNonblocking());
-  poller_ = rpc::Poller::Create();
+  NEPTUNE_ASSIGN_OR_RETURN(poller_, rpc::Poller::Create());
   NEPTUNE_RETURN_IF_ERROR(poller_->Add(listener_->fd(), false));
   port_ = listener_->port();
   start_us_ = time_->NowMicros();

@@ -1,6 +1,5 @@
 #include "rpc/server.h"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -10,7 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <unordered_map>
+#include <deque>
 
 #include "common/coding.h"
 #include "common/logging.h"
@@ -40,82 +39,138 @@ uint32_t ServerSpanNameId(Method method) {
   return (*names)[static_cast<uint8_t>(method)];
 }
 
+// Server health gauges (see docs/OBSERVABILITY.md): queue depth is
+// decoded requests not yet started (plain ones behind the one running
+// in their read, tagged ones on their connection's pending list),
+// ordered backlog the plain ones among them, outbuf bytes framed
+// replies not yet written to any socket.
+Gauge* QueueDepthGauge() {
+  static Gauge* g = MetricsRegistry::Instance().GetGauge("server.queue.depth");
+  return g;
+}
+
+Gauge* OrderedBacklogGauge() {
+  static Gauge* g =
+      MetricsRegistry::Instance().GetGauge("server.ordered_backlog");
+  return g;
+}
+
+Gauge* OutbufBytesGauge() {
+  static Gauge* g =
+      MetricsRegistry::Instance().GetGauge("server.outbuf_bytes");
+  return g;
+}
+
+Gauge* InflightGauge() {
+  static Gauge* g = MetricsRegistry::Instance().GetGauge("server.inflight");
+  return g;
+}
+
 }  // namespace
 
-// -------------------------------------------------- connection + loop
+struct Server::Request {
+  RequestEnvelope envelope;
+  std::string rejected;  // the error reply when the envelope was refused
 
-// One connection, shared between its IO loop (reads, writes, lifetime)
-// and the workers executing its requests (reply queueing, sessions).
-// Fields below the mutex are guarded by it; `destroyed`/`read_closed`
-// are only ever touched by the owning IO thread.
+  // Whether running this may wait on another client: for the graph's
+  // writer slot (beginTransaction, every mutation) or for new commits
+  // (the replFetch long-poll). Reads take the graph lock only for the
+  // length of one operation, so they never wait on a client.
+  bool MayWaitOnAnotherClient() const {
+    if (!rejected.empty()) return false;
+    const std::string_view payload =
+        std::string_view(envelope.payload).substr(envelope.offset);
+    if (payload.empty()) return false;
+    const Method method =
+        static_cast<Method>(static_cast<uint8_t>(payload.front()));
+    return !IsIdempotent(method) || method == Method::kReplFetch;
+  }
+};
+
+// Replies one thread produced for one connection and has not yet
+// handed to it.
+struct Server::Batch {
+  std::string out;
+  int answered = 0;
+  bool ok = true;  // false: a reply could not be framed
+};
+
+// One connection. The thread that set `reader_busy` owns the decoder;
+// everything below the mutex is guarded by it.
 struct Server::Conn {
-  Conn(int fd, IoLoop* loop) : fd(fd), loop(loop) {}
+  explicit Conn(int fd) : fd(fd) {}
   ~Conn() { ::close(fd); }
 
   const int fd;
-  IoLoop* const loop;
-  FrameDecoder decoder;  // fed by the IO thread only
+  FrameDecoder decoder;
   SessionSet sessions;
   std::atomic<int64_t> last_active_us{0};
-  // Requests decoded but not yet replied (includes the ordered
-  // backlog). The IO loop only destroys a connection at zero.
-  std::atomic<int> inflight{0};
-  // Set when a worker must kill the connection but cannot touch the
-  // poller (e.g. a reply that exceeds the frame limit).
-  std::atomic<bool> kill{false};
 
   std::mutex mu;
-  std::string outbuf;   // framed reply bytes not yet written
-  size_t out_off = 0;   // bytes of outbuf already written
-  bool ordered_busy = false;
-  std::deque<Work> ordered_backlog;  // plain requests awaiting their turn
+  std::string outbuf;  // framed reply bytes not yet written
+  size_t out_off = 0;  // bytes of outbuf already written
+  int inflight = 0;    // requests read and not yet answered
+  // A thread is reading this connection, or running the plain requests
+  // it read: no other read may start.
+  bool reader_busy = false;
+  bool closing = false;  // no further reads: EOF, protocol error, reap, Stop
+  bool broken = false;   // the peer cannot be written to; replies are dropped
+  bool torn_down = false;
+  // Tagged requests read and not yet started. Any thread serving the
+  // connection takes the next one, so a tagged request that blocks
+  // never holds up the others read with it.
+  std::deque<Request> pending;
 
-  // IO-thread-only state.
-  bool read_closed = false;
-  bool want_write = false;
-  bool destroyed = false;
-};
+  bool Unflushed() const { return out_off < outbuf.size(); }
 
-struct Server::IoLoop {
-  std::unique_ptr<Poller> poller;
-  int wake_r = -1;
-  int wake_w = -1;
-  bool has_listener = false;
-  std::thread thread;
-
-  std::mutex mu;  // guards conns, adds, flushes
-  std::unordered_map<int, std::shared_ptr<Conn>> conns;
-  std::vector<std::shared_ptr<Conn>> adds;
-  std::vector<int> flushes;
-
-  // True while a wake byte is in the pipe (or the loop is about to
-  // re-check its queues): lets workers skip the write() syscall when
-  // the loop is already scheduled to wake — under pipelined load that
-  // is one syscall saved per reply.
-  std::atomic<bool> wake_pending{false};
-
-  ~IoLoop() {
-    if (wake_r >= 0) ::close(wake_r);
-    if (wake_w >= 0) ::close(wake_w);
+  void AppendLocked(std::string_view frames) {
+    if (broken) return;
+    outbuf.append(frames);
+    OutbufBytesGauge()->Add(static_cast<int64_t>(frames.size()));
   }
 
-  void Wake() {
-    if (wake_pending.exchange(true, std::memory_order_acq_rel)) return;
-    char b = 1;
-    ssize_t ignored = ::write(wake_w, &b, 1);  // EAGAIN = already pending
-    (void)ignored;
+  // Writes as much of outbuf as the socket takes; the rest waits for
+  // writability. A hard error breaks the connection.
+  void FlushLocked() {
+    const size_t before = outbuf.size() - out_off;
+    while (Unflushed() && !broken) {
+      const ssize_t n = ::send(fd, outbuf.data() + out_off,
+                               outbuf.size() - out_off, MSG_NOSIGNAL);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+        broken = closing = true;  // peer gone mid-write
+        break;
+      }
+      out_off += static_cast<size_t>(n);
+    }
+    if (broken || !Unflushed()) {
+      outbuf.clear();
+      out_off = 0;
+    }
+    OutbufBytesGauge()->Add(static_cast<int64_t>(outbuf.size() - out_off) -
+                            static_cast<int64_t>(before));
+  }
+
+  // Nothing more can be delivered: drop what is buffered, read no more.
+  void BreakLocked() {
+    broken = closing = true;
+    FlushLocked();
   }
 };
 
 Server::Server(ham::HamInterface* ham, Options options)
     : ham_(ham), options_(options), dispatcher_(ham) {
-  options_.io_threads = std::max(1, options_.io_threads);
   options_.worker_threads = std::max(1, options_.worker_threads);
   time_ = options_.time_source != nullptr ? options_.time_source
                                           : RealTimeSource();
 }
 
-Server::~Server() { Stop(); }
+Server::~Server() {
+  Stop();
+  if (quit_r_ >= 0) ::close(quit_r_);
+  if (quit_w_ >= 0) ::close(quit_w_);
+}
 
 int64_t Server::Now() const { return static_cast<int64_t>(time_->NowMicros()); }
 
@@ -127,657 +182,446 @@ Result<uint16_t> Server::Start(uint16_t port) {
   NEPTUNE_RETURN_IF_ERROR(listener_->SetNonblocking());
   port_ = listener_->port();
 
-  for (int i = 0; i < options_.io_threads; ++i) {
-    auto loop = std::make_unique<IoLoop>();
-    loop->poller = Poller::Create();
-    int pipefd[2];
-    if (::pipe(pipefd) != 0) {
-      return Status::NetworkError(std::string("pipe: ") +
-                                  std::strerror(errno));
-    }
-    for (int fd : {pipefd[0], pipefd[1]}) {
-      const int fl = ::fcntl(fd, F_GETFL, 0);
-      ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
-    }
-    loop->wake_r = pipefd[0];
-    loop->wake_w = pipefd[1];
-    NEPTUNE_RETURN_IF_ERROR(loop->poller->Add(loop->wake_r, false));
-    if (i == 0) {
-      loop->has_listener = true;
-      NEPTUNE_RETURN_IF_ERROR(loop->poller->Add(listener_->fd(), false));
-    }
-    loops_.push_back(std::move(loop));
+  NEPTUNE_ASSIGN_OR_RETURN(poller_, Poller::Create());
+  NEPTUNE_ASSIGN_OR_RETURN(backlog_, Poller::Create());
+  int pipefd[2];
+  if (::pipe(pipefd) != 0) {
+    return Status::NetworkError(std::string("pipe: ") + std::strerror(errno));
   }
-  for (auto& loop : loops_) {
-    IoLoop* raw = loop.get();
-    raw->thread = std::thread([this, raw] { IoLoopMain(raw); });
+  quit_r_ = pipefd[0];
+  quit_w_ = pipefd[1];
+  NEPTUNE_RETURN_IF_ERROR(poller_->Add(quit_r_, false));
+  NEPTUNE_RETURN_IF_ERROR(poller_->Arm(listener_->fd(), true, false));
+  if (options_.idle_timeout_ms > 0) {
+    next_reap_us_.store(Now() +
+                        static_cast<int64_t>(options_.idle_timeout_ms) * 500);
   }
   for (int i = 0; i < options_.worker_threads; ++i) {
-    workers_.emplace_back([this] { WorkerMain(); });
+    threads_.emplace_back([this] { ThreadMain(); });
   }
   NEPTUNE_LOG(Info) << "event=listening addr=127.0.0.1:" << port_
-                    << " poller=" << loops_[0]->poller->name()
-                    << " io_threads=" << options_.io_threads
-                    << " workers=" << options_.worker_threads;
+                    << " poller=" << poller_->name()
+                    << " threads=" << options_.worker_threads;
   return port_;
 }
 
+std::vector<std::shared_ptr<Server::Conn>> Server::SnapshotConns() {
+  std::vector<std::shared_ptr<Conn>> conns;
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  conns.reserve(conns_.size());
+  for (auto& [fd, conn] : conns_) conns.push_back(conn);
+  return conns;
+}
+
 void Server::Stop() {
-  if (stopping_.exchange(true)) return;
-  drain_deadline_us_.store(
-      Now() + static_cast<int64_t>(options_.drain_timeout_ms) * 1000);
-  if (listener_ != nullptr) listener_->Shutdown();
+  if (stopping_.exchange(true) || threads_.empty()) return;
   NEPTUNE_METRIC_COUNT("rpc.server.drains", 1);
-  // The IO loops own the graceful drain: on waking they half-close
-  // every connection (no new requests), keep flushing replies for work
-  // already in flight, and exit once every connection is gone.
-  for (auto& loop : loops_) loop->Wake();
-  for (auto& loop : loops_) {
-    if (loop->thread.joinable()) loop->thread.join();
-  }
-  // All requests are done and every disconnect-cleanup job is queued;
-  // let the workers drain the queue, then stop them.
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    workers_stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  workers_.clear();
-  loops_.clear();
-}
-
-namespace {
-
-// Event-loop health gauges (see docs/OBSERVABILITY.md): queue depth is
-// work decoded but not yet picked up by a worker, outbuf bytes are
-// framed replies not yet written to any socket, ordered backlog is
-// plain requests serialized behind an executing one.
-Gauge* QueueDepthGauge() {
-  static Gauge* g = MetricsRegistry::Instance().GetGauge("server.queue.depth");
-  return g;
-}
-
-Gauge* OutbufBytesGauge() {
-  static Gauge* g =
-      MetricsRegistry::Instance().GetGauge("server.outbuf_bytes");
-  return g;
-}
-
-Gauge* OrderedBacklogGauge() {
-  static Gauge* g =
-      MetricsRegistry::Instance().GetGauge("server.ordered_backlog");
-  return g;
-}
-
-}  // namespace
-
-void Server::EnqueueWork(Work work) {
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    // A non-empty queue means every worker is already busy: new work
-    // waits, which is the saturation signal an operator sizes the pool
-    // by.
-    if (!work_queue_.empty()) {
-      NEPTUNE_METRIC_COUNT("server.workers.saturated", 1);
-    }
-    work_queue_.push_back(std::move(work));
-    QueueDepthGauge()->Set(static_cast<int64_t>(work_queue_.size()));
-  }
-  work_cv_.notify_one();
-}
-
-void Server::EnqueueWorkBatch(std::vector<Work>* works) {
-  if (works->empty()) return;
-  const bool several = works->size() > 1;
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    if (!work_queue_.empty()) {
-      NEPTUNE_METRIC_COUNT("server.workers.saturated", 1);
-    }
-    for (Work& w : *works) work_queue_.push_back(std::move(w));
-    QueueDepthGauge()->Set(static_cast<int64_t>(work_queue_.size()));
-  }
-  if (several) {
-    work_cv_.notify_all();
-  } else {
-    work_cv_.notify_one();
-  }
-  works->clear();
-}
-
-void Server::WorkerMain() {
+  const int64_t deadline_us =
+      Now() + static_cast<int64_t>(options_.drain_timeout_ms) * 1000;
+  poller_->Remove(listener_->fd());
+  listener_->Shutdown();
+  // Half-close every connection: no request can arrive anymore, but
+  // replies for requests already read still go out, written by the
+  // threads running them. Peers that stopped reading do not get to
+  // hold Stop() hostage past the drain budget; requests in flight
+  // still run to completion.
   for (;;) {
-    Work work;
-    {
-      std::unique_lock<std::mutex> lock(work_mu_);
-      work_cv_.wait(lock,
-                    [this] { return workers_stop_ || !work_queue_.empty(); });
-      if (work_queue_.empty()) {
-        if (workers_stop_) return;
-        continue;
+    const bool expired = Now() > deadline_us;
+    for (auto& conn : SnapshotConns()) {
+      std::unique_lock<std::mutex> lock(conn->mu);
+      if (conn->torn_down) continue;
+      if (!conn->closing) {
+        conn->closing = true;
+        ::shutdown(conn->fd, SHUT_RD);
       }
-      work = std::move(work_queue_.front());
-      work_queue_.pop_front();
-      QueueDepthGauge()->Set(static_cast<int64_t>(work_queue_.size()));
-    }
-    if (work.is_cleanup) {
-      // A vanished client releases everything it held (crash recovery
-      // for its open transaction happens via CloseGraph's abort path).
-      for (uint64_t session : work.cleanup_sessions) {
-        ham_->CloseGraph(Context{session});
+      if (expired && conn->inflight == 0 && !conn->reader_busy) {
+        conn->BreakLocked();
       }
-      continue;
+      Settle(conn, &lock);
     }
-    ExecuteRequest(&work);
+    std::unique_lock<std::mutex> lock(conns_mu_);
+    if (conns_.empty()) break;
+    conns_cv_.wait_for(lock, std::chrono::milliseconds(20));
   }
+  char b = 1;
+  ssize_t ignored = ::write(quit_w_, &b, 1);  // level-triggered: wakes all
+  (void)ignored;
+  for (auto& t : threads_) t.join();
+  threads_.clear();
 }
 
-void Server::ExecuteRequest(Work* work) {
-  static Gauge* inflight_gauge =
-      MetricsRegistry::Instance().GetGauge("server.inflight");
-  const std::shared_ptr<Conn>& conn = work->conn;
-  const std::string_view request =
-      std::string_view(work->request).substr(work->request_off);
-  const Method method =
-      request.empty()
-          ? Method{0}
-          : static_cast<Method>(static_cast<uint8_t>(request.front()));
-  std::string reply;
-  {
-    // Root span for this request's server-side work. It adopts the
-    // client's context when one arrived, self-roots otherwise.
-    ScopedSpan span(ServerSpanNameId(method), work->remote_ctx);
-    const int inflight = inflight_.load(std::memory_order_relaxed);
-    const AdmissionOptions admission{options_.max_inflight_requests,
-                                     options_.shed_inflight_requests};
-    bool shed;
-    {
-      NEPTUNE_TRACE_SPAN(admission_span, "rpc.server.admission");
-      shed = ShouldShed(method, inflight, admission);
-    }
-    if (shed) {
-      NEPTUNE_METRIC_COUNT("server.shed", 1);
-      if (span.active()) {
-        span.Annotate("shed=1 inflight=" + std::to_string(inflight));
-      }
-      reply = ShedReply(inflight, options_.retry_after_ms);
-    } else {
-      reply = dispatcher_.Handle(request, &conn->sessions);
-    }
-  }
-  // Tagged replies echo the request id ahead of the status so the
-  // pipelined client can match them out of order. The single wake
-  // below (after the inflight decrement) covers the flush too.
-  std::string id_prefix;
-  if (work->tagged) PutVarint64(&id_prefix, work->request_id);
-  QueueReply(conn, reply, id_prefix, /*notify=*/false);
-  if (!work->tagged) {
-    // Plain requests keep the historical in-order contract: the next
-    // one for this connection runs only now that our reply is queued.
-    Work next;
-    bool have_next = false;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (!conn->ordered_backlog.empty()) {
-        next = std::move(conn->ordered_backlog.front());
-        conn->ordered_backlog.pop_front();
-        OrderedBacklogGauge()->Decrement();
-        next.conn = conn;
-        have_next = true;
-      } else {
-        conn->ordered_busy = false;
-      }
-    }
-    if (have_next) EnqueueWork(std::move(next));
-  }
-  inflight_.fetch_sub(1, std::memory_order_relaxed);
-  inflight_gauge->Decrement();
-  conn->inflight.fetch_sub(1, std::memory_order_release);
-  // Re-wake the loop now that inflight is down: if the connection is
-  // draining, this is what lets the IO thread finally destroy it.
-  {
-    std::lock_guard<std::mutex> lock(conn->loop->mu);
-    conn->loop->flushes.push_back(conn->fd);
-  }
-  conn->loop->Wake();
-}
-
-void Server::QueueReply(const std::shared_ptr<Conn>& conn,
-                        std::string_view payload, std::string_view id_prefix,
-                        bool notify) {
-  const size_t total = id_prefix.size() + payload.size();
-  NEPTUNE_METRIC_COUNT("rpc.bytes_out", total);
-  if (total > options_.max_frame_bytes) {
-    // Mirrors FrameStream::SendFrame on the thread-per-connection
-    // server: a reply that cannot be framed kills the connection.
-    NEPTUNE_LOG(Warn) << "event=reply_overflow bytes=" << total
-                      << " limit=" << options_.max_frame_bytes;
-    conn->kill.store(true, std::memory_order_release);
-  } else {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    const size_t before = conn->outbuf.size();
-    AppendFrame(id_prefix, payload, &conn->outbuf);
-    OutbufBytesGauge()->Add(static_cast<int64_t>(conn->outbuf.size() - before));
-  }
-  conn->last_active_us.store(Now(), std::memory_order_relaxed);
-  if (!notify) return;
-  {
-    std::lock_guard<std::mutex> lock(conn->loop->mu);
-    conn->loop->flushes.push_back(conn->fd);
-  }
-  conn->loop->Wake();
-}
-
-// ----------------------------------------------------------- IO loops
-
-void Server::IoLoopMain(IoLoop* loop) {
-  // Loop lag: time this IO thread spends *outside* Wait() per
-  // iteration — the window during which a ready socket cannot be
-  // served. Sustained growth means the loop (not the workers) is the
-  // bottleneck. Recorded per IO loop into one shared family.
+void Server::ThreadMain() {
+  // Loop lag: time a thread spends away from the ready set per wake-up
+  // — running requests included, since the thread that reads a request
+  // also executes it. Recorded per thread into one shared family.
   static Histogram* loop_lag =
       MetricsRegistry::Instance().GetHistogram("server.loop.lag_us");
-  int64_t busy_since_us = 0;
-  std::vector<Poller::Event> events;
-  bool drain_swept = false;
-  int64_t next_reap_us =
+  const int timeout_ms =
       options_.idle_timeout_ms > 0
-          ? Now() + static_cast<int64_t>(options_.idle_timeout_ms) * 500
-          : 0;
+          ? std::clamp(options_.idle_timeout_ms / 2, 10, 500)
+          : -1;
+  std::vector<Poller::Event> events;
   for (;;) {
-    // Adopt connections handed over by the accept path and flush
-    // connections the workers have written replies for. The
-    // wake_pending reset must come first: a Wake() that skipped its
-    // write() did so before this reset, so its queue entry is already
-    // visible to the swap below; one after the reset writes the pipe
-    // and the next Wait() returns immediately.
-    loop->wake_pending.store(false, std::memory_order_seq_cst);
-    std::vector<std::shared_ptr<Conn>> adds;
-    std::vector<int> flushes;
-    {
-      std::lock_guard<std::mutex> lock(loop->mu);
-      adds.swap(loop->adds);
-      flushes.swap(loop->flushes);
-    }
-    for (auto& conn : adds) {
-      {
-        std::lock_guard<std::mutex> lock(loop->mu);
-        loop->conns[conn->fd] = conn;
-      }
-      if (!loop->poller->Add(conn->fd, false).ok()) {
-        DestroyConn(loop, conn, /*discard_output=*/true);
-      }
-    }
-    for (int fd : flushes) {
-      std::shared_ptr<Conn> conn;
-      {
-        std::lock_guard<std::mutex> lock(loop->mu);
-        auto it = loop->conns.find(fd);
-        if (it != loop->conns.end()) conn = it->second;
-      }
-      if (conn != nullptr) FlushConn(loop, conn);
-    }
-
-    if (stopping_.load(std::memory_order_acquire)) {
-      std::vector<std::shared_ptr<Conn>> conns;
-      {
-        std::lock_guard<std::mutex> lock(loop->mu);
-        conns.reserve(loop->conns.size());
-        for (auto& [fd, c] : loop->conns) conns.push_back(c);
-      }
-      if (!drain_swept) {
-        drain_swept = true;
-        if (loop->has_listener) loop->poller->Remove(listener_->fd());
-        // Half-close every connection: no request can arrive anymore,
-        // but replies for requests already in flight still go out.
-        for (auto& conn : conns) {
-          if (!conn->read_closed) {
-            conn->read_closed = true;
-            ::shutdown(conn->fd, SHUT_RD);
-          }
-          MaybeDestroyConn(loop, conn);
-        }
-      } else if (Now() >
-                 drain_deadline_us_.load(std::memory_order_relaxed)) {
-        // Peers that stopped reading do not get to hold Stop() hostage
-        // past the drain budget; in-flight requests still finish.
-        for (auto& conn : conns) {
-          if (conn->inflight.load(std::memory_order_acquire) == 0) {
-            DestroyConn(loop, conn, /*discard_output=*/true);
-          }
-        }
-      }
-      std::lock_guard<std::mutex> lock(loop->mu);
-      if (loop->conns.empty()) break;
-    }
-
-    int timeout_ms = -1;
-    if (stopping_.load(std::memory_order_relaxed)) {
-      timeout_ms = 20;
-    } else if (options_.idle_timeout_ms > 0) {
-      timeout_ms = std::clamp(options_.idle_timeout_ms / 2, 10, 500);
-    }
-    if (busy_since_us != 0) {
-      const int64_t busy = Now() - busy_since_us;
-      if (busy >= 0) loop_lag->Record(static_cast<uint64_t>(busy));
-    }
-    auto waited = loop->poller->Wait(timeout_ms, &events);
-    busy_since_us = Now();
+    // One event per wake-up: the next ready connection goes to the
+    // next idle thread instead of queueing behind this one.
+    auto waited = poller_->Wait(timeout_ms, &events, 1);
+    const int64_t woke_us = Now();
+    busy_threads_.fetch_add(1, std::memory_order_relaxed);
     if (!waited.ok()) {
       NEPTUNE_LOG(Warn) << "event=poller_error detail=\""
                         << waited.status().message() << "\"";
       ::poll(nullptr, 0, 10);
-      continue;
     }
     for (const Poller::Event& ev : events) {
-      if (ev.fd == loop->wake_r) {
-        char buf[256];
-        while (::read(loop->wake_r, buf, sizeof(buf)) > 0) {
-        }
-        continue;
+      if (ev.fd == quit_r_) {
+        busy_threads_.fetch_sub(1, std::memory_order_relaxed);
+        return;
       }
-      if (loop->has_listener && ev.fd == listener_->fd()) {
-        if (!stopping_.load(std::memory_order_relaxed)) AcceptReady(loop);
+      if (ev.fd == listener_->fd()) {
+        AcceptReady();
         continue;
       }
       std::shared_ptr<Conn> conn;
       {
-        std::lock_guard<std::mutex> lock(loop->mu);
-        auto it = loop->conns.find(ev.fd);
-        if (it != loop->conns.end()) conn = it->second;
+        std::lock_guard<std::mutex> lock(conns_mu_);
+        auto it = conns_.find(ev.fd);
+        if (it != conns_.end()) conn = it->second;
       }
-      if (conn == nullptr) continue;
-      if (conn->kill.load(std::memory_order_acquire)) {
-        if (conn->inflight.load(std::memory_order_acquire) == 0) {
-          DestroyConn(loop, conn, /*discard_output=*/true);
-        }
-        continue;
-      }
-      if (ev.writable) FlushConn(loop, conn);
-      if (ev.readable || ev.error) ReadReady(loop, conn);
+      if (conn != nullptr) ServeConn(conn, ev);
     }
-    // Kill-flagged connections may have been marked by a worker rather
-    // than an event; sweep them on flush notifications too.
-    if (options_.idle_timeout_ms > 0 && Now() >= next_reap_us) {
-      ReapIdleConns(loop);
-      next_reap_us =
-          Now() + static_cast<int64_t>(options_.idle_timeout_ms) * 500;
-    }
+    if (options_.idle_timeout_ms > 0) ReapIdleConns();
+    busy_threads_.fetch_sub(1, std::memory_order_relaxed);
+    const int64_t busy = Now() - woke_us;
+    if (busy >= 0) loop_lag->Record(static_cast<uint64_t>(busy));
   }
 }
 
-void Server::AcceptReady(IoLoop* loop) {
+void Server::AcceptReady() {
   static Gauge* active =
       MetricsRegistry::Instance().GetGauge("rpc.connections.active");
+  const size_t buffered =
+      options_.max_conn_buffered_bytes > 0
+          ? options_.max_conn_buffered_bytes
+          : static_cast<size_t>(options_.max_frame_bytes) + (64u << 10);
   for (;;) {
     auto accepted = listener_->AcceptFd();
-    if (!accepted.ok()) return;  // would-block, exhaustion backoff, or stop
-    IoLoop* target =
-        loops_[next_loop_.fetch_add(1, std::memory_order_relaxed) %
-               loops_.size()]
-            .get();
-    auto conn = std::make_shared<Conn>(*accepted, target);
-    const size_t buffered =
-        options_.max_conn_buffered_bytes > 0
-            ? options_.max_conn_buffered_bytes
-            : static_cast<size_t>(options_.max_frame_bytes) + (64u << 10);
+    if (!accepted.ok()) break;  // would-block, exhaustion backoff, or stop
+    auto conn = std::make_shared<Conn>(*accepted);
     conn->decoder.set_limits(options_.max_frame_bytes, buffered);
     conn->last_active_us.store(Now(), std::memory_order_relaxed);
     NEPTUNE_METRIC_COUNT("rpc.connections.accepted", 1);
     active->Increment();
-    if (target == loop) {
-      {
-        std::lock_guard<std::mutex> lock(loop->mu);
-        loop->conns[conn->fd] = conn;
-      }
-      if (!loop->poller->Add(conn->fd, false).ok()) {
-        DestroyConn(loop, conn, /*discard_output=*/true);
-      }
-    } else {
-      {
-        std::lock_guard<std::mutex> lock(target->mu);
-        target->adds.push_back(std::move(conn));
-      }
-      target->Wake();
+    backlog_->Add(conn->fd, false);
+    std::unique_lock<std::mutex> lock(conn->mu);
+    {
+      std::lock_guard<std::mutex> map_lock(conns_mu_);
+      conns_[conn->fd] = conn;
     }
+    Settle(conn, &lock);
+  }
+  if (!stopping_.load(std::memory_order_acquire)) {
+    poller_->Arm(listener_->fd(), true, false);
   }
 }
 
-void Server::ReadReady(IoLoop* loop, const std::shared_ptr<Conn>& conn) {
-  if (conn->destroyed) return;
+void Server::ServeConn(const std::shared_ptr<Conn>& conn,
+                       const Poller::Event& ev) {
+  std::unique_lock<std::mutex> lock(conn->mu);
+  if (conn->torn_down) return;
+  if (ev.writable) conn->FlushLocked();
+  if ((ev.readable || ev.error) && !conn->reader_busy && !conn->closing) {
+    conn->reader_busy = true;
+    lock.unlock();
+    ReadConn(conn, &lock);
+  }
+  RunPending(conn, &lock);
+  Settle(conn, &lock);
+}
+
+void Server::ReadConn(const std::shared_ptr<Conn>& conn,
+                      std::unique_lock<std::mutex>* lock) {
+  // Read what the socket holds, bounded per wake-up for fairness.
+  std::vector<std::string> payloads;
+  Status fed;
+  bool eof = false;
+  bool reset = false;
   char buf[1 << 16];
-  size_t budget = 256u << 10;  // per-event fairness cap
+  size_t budget = 256u << 10;
   for (;;) {
-    ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
+    const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       // Hard transport error (ECONNRESET and friends): the peer is
       // gone, nothing we buffered can be delivered.
-      conn->read_closed = true;
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        OutbufBytesGauge()->Add(
-            -static_cast<int64_t>(conn->outbuf.size() - conn->out_off));
-        conn->out_off = conn->outbuf.size();
-      }
-      MaybeDestroyConn(loop, conn);
-      return;
+      reset = errno != EAGAIN && errno != EWOULDBLOCK;
+      break;
     }
     if (n == 0) {
-      // EOF (peer closed, or our own drain half-close): no further
-      // requests; finish what is in flight, flush, then destroy.
-      conn->read_closed = true;
-      MaybeDestroyConn(loop, conn);
-      return;
+      // EOF (peer closed, or the drain half-close): no further
+      // requests; what was read still runs and is answered.
+      eof = true;
+      break;
     }
     conn->last_active_us.store(Now(), std::memory_order_relaxed);
-    if (conn->read_closed) {
-      // Already poisoned (protocol error): discard whatever the peer
-      // keeps sending so a level-triggered poller does not spin.
-      continue;
+    fed = conn->decoder.Feed(std::string_view(buf, static_cast<size_t>(n)),
+                             &payloads);
+    // A short read emptied the socket; re-arming reports anything that
+    // arrived since, so the second, empty recv() is skipped.
+    if (!fed.ok() || static_cast<size_t>(n) < sizeof(buf) ||
+        budget <= static_cast<size_t>(n)) {
+      break;
     }
-    std::vector<std::string> payloads;
-    Status fed =
-        conn->decoder.Feed(std::string_view(buf, static_cast<size_t>(n)),
-                           &payloads);
-    std::vector<Work> ready;
-    for (std::string& payload : payloads) {
-      DispatchRequest(loop, conn, std::move(payload), &ready);
-    }
-    // One lock + one notify for everything this read produced.
-    EnqueueWorkBatch(&ready);
-    if (!fed.ok()) {
-      // Protocol abuse (oversized length prefix, CRC mismatch): tell
-      // the peer why before hanging up. Framing may be out of sync,
-      // so the connection itself cannot survive.
-      NEPTUNE_LOG(Warn) << "event=protocol_error code="
-                        << StatusCodeToString(fed.code()) << " detail=\""
-                        << fed.message() << "\"";
-      conn->read_closed = true;
-      ::shutdown(conn->fd, SHUT_RD);
-      {
-        std::string frame = FramePayload(StatusReply(fed));
-        std::lock_guard<std::mutex> lock(conn->mu);
-        OutbufBytesGauge()->Add(static_cast<int64_t>(frame.size()));
-        conn->outbuf.append(frame);
-      }
-      FlushConn(loop, conn);
-      return;
-    }
-    if (budget <= static_cast<size_t>(n)) return;
     budget -= static_cast<size_t>(n);
   }
-}
 
-void Server::DispatchRequest(IoLoop* loop, const std::shared_ptr<Conn>& conn,
-                             std::string payload, std::vector<Work>* ready) {
-  static Gauge* inflight_gauge =
-      MetricsRegistry::Instance().GetGauge("server.inflight");
-  NEPTUNE_METRIC_COUNT("rpc.bytes_in", payload.size());
-  (void)loop;
-  Work work;
-  work.conn = conn;
   // Frame extensions (trace context, request id) are parsed by the
-  // shared envelope logic in rpc/dispatch.h.
-  RequestEnvelope envelope;
-  std::string error_reply;
-  if (!ParseRequestEnvelope(std::move(payload), options_.accept_trace_context,
-                            options_.accept_request_ids, &envelope,
-                            &error_reply)) {
-    QueueReply(conn, error_reply);
+  // shared envelope logic in rpc/dispatch.h. Plain requests (and
+  // refused envelopes, whose error replies are plain) run in order on
+  // this thread; tagged ones join the connection's pending list.
+  std::vector<Request> in_order;
+  std::vector<Request> tagged;
+  for (std::string& payload : payloads) {
+    NEPTUNE_METRIC_COUNT("rpc.bytes_in", payload.size());
+    Request request;
+    // A refused envelope leaves its error reply in `rejected`.
+    ParseRequestEnvelope(std::move(payload), options_.accept_trace_context,
+                         options_.accept_request_ids, &request.envelope,
+                         &request.rejected);
+    const bool plain = !request.rejected.empty() || !request.envelope.tagged;
+    (plain ? in_order : tagged).push_back(std::move(request));
+  }
+  const int n = static_cast<int>(payloads.size());
+  const int plain = static_cast<int>(in_order.size());
+  inflight_.fetch_add(n, std::memory_order_relaxed);
+  InflightGauge()->Add(n);
+  QueueDepthGauge()->Add(n);
+  OrderedBacklogGauge()->Add(plain);
+
+  lock->lock();
+  if (eof) conn->closing = true;
+  if (reset) conn->BreakLocked();
+  if (!fed.ok()) {
+    conn->closing = true;
+    ::shutdown(conn->fd, SHUT_RD);
+  }
+  conn->inflight += n;
+  for (Request& request : tagged) conn->pending.push_back(std::move(request));
+  if (plain == 0 && fed.ok()) {
+    conn->reader_busy = false;
     return;
   }
-  work.request = std::move(envelope.payload);
-  work.request_off = envelope.offset;
-  work.tagged = envelope.tagged;
-  work.request_id = envelope.request_id;
-  work.remote_ctx = envelope.remote_ctx;
-  inflight_.fetch_add(1, std::memory_order_relaxed);
-  inflight_gauge->Increment();
-  conn->inflight.fetch_add(1, std::memory_order_acq_rel);
-  if (work.tagged) {
-    // Tagged requests may complete out of order: dispatch freely.
-    ready->push_back(std::move(work));
-    return;
+  // Plain requests (and a protocol-error reply) keep the in-order
+  // contract: the connection stays unreadable until their replies are
+  // written. Settle still arms it for the pending tagged requests, so
+  // an idle thread can run those meanwhile.
+  Settle(conn, lock);
+  Batch batch;
+  for (Request& request : in_order) Run(conn.get(), lock, &request, &batch);
+  if (!fed.ok()) {
+    // Protocol abuse (oversized length prefix, CRC mismatch): tell the
+    // peer why before hanging up. Framing may be out of sync, so the
+    // connection itself cannot survive.
+    NEPTUNE_LOG(Warn) << "event=protocol_error code="
+                      << StatusCodeToString(fed.code()) << " detail=\""
+                      << fed.message() << "\"";
+    batch.out += FramePayload(StatusReply(fed));
   }
-  // Plain requests serialize per connection, preserving the historical
-  // one-reply-per-request-in-order contract.
-  bool dispatch_now = false;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->ordered_busy) {
-      work.conn.reset();  // backlog entries must not own the Conn (cycle)
-      conn->ordered_backlog.push_back(std::move(work));
-      OrderedBacklogGauge()->Increment();
+  lock->lock();
+  Deliver(conn.get(), &batch);
+  conn->reader_busy = false;
+}
+
+void Server::RunPending(const std::shared_ptr<Conn>& conn,
+                        std::unique_lock<std::mutex>* lock) {
+  Batch batch;
+  bool armed = false;
+  while (!conn->pending.empty()) {
+    Request request = std::move(conn->pending.front());
+    conn->pending.pop_front();
+    if (!armed) {
+      // Re-arm before running the first one: the next read, or the
+      // next pending request, goes to an idle thread instead of
+      // waiting on this one. A thread woken that way arms again before
+      // its own first request, so one arm per thread keeps the chain
+      // going. Settle cannot tear down here: this request is in flight.
+      Settle(conn, lock);
+      armed = true;
     } else {
-      conn->ordered_busy = true;
-      dispatch_now = true;
+      lock->unlock();
     }
+    Run(conn.get(), lock, &request, &batch);
+    lock->lock();
   }
-  if (dispatch_now) ready->push_back(std::move(work));
+  if (batch.answered != 0) Deliver(conn.get(), &batch);
 }
 
-void Server::FlushConn(IoLoop* loop, const std::shared_ptr<Conn>& conn) {
-  if (conn->destroyed) return;
-  if (conn->kill.load(std::memory_order_acquire)) {
-    if (conn->inflight.load(std::memory_order_acquire) == 0) {
-      DestroyConn(loop, conn, /*discard_output=*/true);
+void Server::Run(Conn* conn, std::unique_lock<std::mutex>* lock,
+                 Request* request, Batch* batch) {
+  // Replies this thread holds go out with the next one, one send for
+  // several, unless this request may wait on another client: that
+  // client may be waiting for one of them.
+  if (batch->answered != 0 && request->MayWaitOnAnotherClient()) {
+    lock->lock();
+    Deliver(conn, batch);
+    lock->unlock();
+  }
+  if (!Execute(conn, request, &batch->out)) batch->ok = false;
+  ++batch->answered;
+}
+
+void Server::Deliver(Conn* conn, Batch* batch) {
+  if (batch->ok) {
+    conn->AppendLocked(batch->out);
+  } else {
+    conn->BreakLocked();
+  }
+  conn->inflight -= batch->answered;
+  inflight_.fetch_sub(batch->answered, std::memory_order_relaxed);
+  InflightGauge()->Add(-batch->answered);
+  conn->last_active_us.store(Now(), std::memory_order_relaxed);
+  conn->FlushLocked();
+  *batch = Batch();
+}
+
+int Server::Load() {
+  const int inflight = inflight_.load(std::memory_order_relaxed);
+  // While a thread is idle it picks a ready connection up at once, so
+  // nothing waits unread.
+  if (busy_threads_.load(std::memory_order_relaxed) <
+      options_.worker_threads) {
+    return inflight;
+  }
+  // Every thread is busy: requests queue in kernel socket buffers.
+  // Count the connections holding unread bytes (one request each, at
+  // least), sampled at most once a millisecond.
+  const int64_t now = Now();
+  int64_t due = next_backlog_us_.load(std::memory_order_relaxed);
+  if (now >= due && next_backlog_us_.compare_exchange_strong(due, now + 1000)) {
+    std::vector<Poller::Event> ready;
+    auto sampled = backlog_->Wait(
+        0, &ready,
+        std::max(options_.max_inflight_requests,
+                 options_.shed_inflight_requests) + 1);
+    waiting_.store(sampled.ok() ? *sampled : 0, std::memory_order_relaxed);
+  }
+  return inflight + waiting_.load(std::memory_order_relaxed);
+}
+
+bool Server::Execute(Conn* conn, Request* request, std::string* out) {
+  QueueDepthGauge()->Decrement();
+  const RequestEnvelope& envelope = request->envelope;
+  const bool tagged = request->rejected.empty() && envelope.tagged;
+  if (!tagged) OrderedBacklogGauge()->Decrement();
+  if (busy_threads_.load(std::memory_order_relaxed) >=
+      options_.worker_threads) {
+    NEPTUNE_METRIC_COUNT("server.workers.saturated", 1);
+  }
+  std::string reply = std::move(request->rejected);
+  if (reply.empty()) {
+    const std::string_view payload =
+        std::string_view(envelope.payload).substr(envelope.offset);
+    const Method method =
+        payload.empty()
+            ? Method{0}
+            : static_cast<Method>(static_cast<uint8_t>(payload.front()));
+    // Root span for this request's server-side work. It adopts the
+    // client's context when one arrived, self-roots otherwise.
+    ScopedSpan span(ServerSpanNameId(method), envelope.remote_ctx);
+    const AdmissionOptions admission{options_.max_inflight_requests,
+                                     options_.shed_inflight_requests};
+    int load;
+    bool shed;
+    {
+      NEPTUNE_TRACE_SPAN(admission_span, "rpc.server.admission");
+      load = Load();
+      shed = ShouldShed(method, load, admission);
     }
+    if (shed) {
+      NEPTUNE_METRIC_COUNT("server.shed", 1);
+      if (span.active()) {
+        span.Annotate("shed=1 inflight=" + std::to_string(load));
+      }
+      reply = ShedReply(load, options_.retry_after_ms);
+    } else {
+      reply = dispatcher_.Handle(payload, &conn->sessions);
+    }
+  }
+  // Tagged replies echo the request id ahead of the status so the
+  // pipelined client can match them out of order.
+  std::string id_prefix;
+  if (tagged) PutVarint64(&id_prefix, envelope.request_id);
+  const size_t total = id_prefix.size() + reply.size();
+  NEPTUNE_METRIC_COUNT("rpc.bytes_out", total);
+  if (total > options_.max_frame_bytes) {
+    // Mirrors FrameStream::SendFrame: a reply that cannot be framed
+    // kills the connection.
+    NEPTUNE_LOG(Warn) << "event=reply_overflow bytes=" << total
+                      << " limit=" << options_.max_frame_bytes;
+    return false;
+  }
+  AppendFrame(id_prefix, reply, out);
+  return true;
+}
+
+void Server::Settle(const std::shared_ptr<Conn>& conn,
+                    std::unique_lock<std::mutex>* lock) {
+  Conn& c = *conn;
+  const bool want_read = !c.closing && !c.reader_busy;
+  // Write interest also stands in for pending tagged requests: a
+  // writable socket wakes an idle thread to run the next one.
+  const bool want_write = c.Unflushed() || !c.pending.empty();
+  if ((want_read || want_write) &&
+      !poller_->Arm(c.fd, want_read, want_write).ok()) {
+    c.BreakLocked();
+  }
+  if (!c.closing || c.torn_down || c.inflight != 0 || c.reader_busy ||
+      c.Unflushed()) {
+    lock->unlock();
     return;
   }
-  bool dead = false;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    const int64_t unflushed_before =
-        static_cast<int64_t>(conn->outbuf.size() - conn->out_off);
-    while (conn->out_off < conn->outbuf.size()) {
-      ssize_t n = ::send(conn->fd, conn->outbuf.data() + conn->out_off,
-                         conn->outbuf.size() - conn->out_off, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          if (!conn->want_write) {
-            conn->want_write = true;
-            loop->poller->Update(conn->fd, true);
-          }
-          OutbufBytesGauge()->Add(
-              static_cast<int64_t>(conn->outbuf.size() - conn->out_off) -
-              unflushed_before);
-          return;
-        }
-        // Peer gone mid-write: nothing left to deliver.
-        conn->out_off = conn->outbuf.size();
-        dead = true;
-        break;
-      }
-      conn->out_off += static_cast<size_t>(n);
-    }
-    conn->outbuf.clear();
-    conn->out_off = 0;
-    OutbufBytesGauge()->Add(-unflushed_before);
-    if (conn->want_write) {
-      conn->want_write = false;
-      loop->poller->Update(conn->fd, false);
-    }
-  }
-  if (dead) conn->read_closed = true;
-  MaybeDestroyConn(loop, conn);
+  c.torn_down = true;
+  lock->unlock();
+  Teardown(conn);
 }
 
-void Server::MaybeDestroyConn(IoLoop* loop,
-                              const std::shared_ptr<Conn>& conn) {
-  if (conn->destroyed || !conn->read_closed) return;
-  if (conn->inflight.load(std::memory_order_acquire) != 0) return;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->out_off < conn->outbuf.size()) return;  // still flushing
-  }
-  DestroyConn(loop, conn, /*discard_output=*/false);
-}
-
-void Server::DestroyConn(IoLoop* loop, const std::shared_ptr<Conn>& conn,
-                         bool discard_output) {
-  if (conn->destroyed) return;
-  conn->destroyed = true;
+void Server::Teardown(const std::shared_ptr<Conn>& conn) {
   static Gauge* active =
       MetricsRegistry::Instance().GetGauge("rpc.connections.active");
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (discard_output) {
-      OutbufBytesGauge()->Add(
-          -static_cast<int64_t>(conn->outbuf.size() - conn->out_off));
-      conn->outbuf.clear();
-      conn->out_off = 0;
-    }
-    // A destroyed connection takes its waiting plain requests with it
-    // (their inflight counts were released before destroy was legal).
-    OrderedBacklogGauge()->Add(
-        -static_cast<int64_t>(conn->ordered_backlog.size()));
-    conn->ordered_backlog.clear();
-  }
-  loop->poller->Remove(conn->fd);
-  {
-    std::lock_guard<std::mutex> lock(loop->mu);
-    loop->conns.erase(conn->fd);
-  }
-  active->Decrement();
+  poller_->Remove(conn->fd);
+  backlog_->Remove(conn->fd);
   // Ensure the peer sees FIN promptly even while other references keep
   // the fd alive for a moment.
   ::shutdown(conn->fd, SHUT_RDWR);
-  std::vector<uint64_t> sessions = conn->sessions.Drain();
-  if (!sessions.empty()) {
-    // Session teardown calls into the HAM (possibly aborting a
-    // transaction); do it on a worker so one dead client cannot stall
-    // every live connection on this loop.
-    Work cleanup;
-    cleanup.is_cleanup = true;
-    cleanup.cleanup_sessions = std::move(sessions);
-    EnqueueWork(std::move(cleanup));
+  {
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    conns_.erase(conn->fd);
+  }
+  conns_cv_.notify_all();
+  active->Decrement();
+  // A vanished client releases everything it held (crash recovery for
+  // its open transaction happens via CloseGraph's abort path).
+  for (uint64_t session : conn->sessions.Drain()) {
+    ham_->CloseGraph(Context{session});
   }
 }
 
-void Server::ReapIdleConns(IoLoop* loop) {
-  const int64_t cutoff_us =
-      Now() - static_cast<int64_t>(options_.idle_timeout_ms) * 1000;
-  std::vector<std::shared_ptr<Conn>> conns;
-  {
-    std::lock_guard<std::mutex> lock(loop->mu);
-    conns.reserve(loop->conns.size());
-    for (auto& [fd, c] : loop->conns) conns.push_back(c);
+void Server::ReapIdleConns() {
+  const int64_t now = Now();
+  int64_t due = next_reap_us_.load(std::memory_order_relaxed);
+  const int64_t period_us =
+      static_cast<int64_t>(options_.idle_timeout_ms) * 500;
+  if (now < due ||
+      !next_reap_us_.compare_exchange_strong(due, now + period_us)) {
+    return;  // not yet due, or another thread is reaping
   }
-  for (auto& conn : conns) {
-    if (conn->destroyed || conn->read_closed) continue;
-    if (conn->inflight.load(std::memory_order_acquire) != 0) continue;
-    if (conn->last_active_us.load(std::memory_order_relaxed) > cutoff_us) {
+  const int64_t cutoff_us =
+      now - static_cast<int64_t>(options_.idle_timeout_ms) * 1000;
+  for (auto& conn : SnapshotConns()) {
+    std::unique_lock<std::mutex> lock(conn->mu);
+    if (conn->closing || conn->reader_busy || conn->inflight != 0 ||
+        conn->Unflushed() ||
+        conn->last_active_us.load(std::memory_order_relaxed) > cutoff_us) {
       continue;
-    }
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->out_off < conn->outbuf.size()) continue;
     }
     // The connection sat silent past the idle budget: reap it.
     // Sessions (and any open transaction) are cleaned up exactly as
@@ -785,10 +629,10 @@ void Server::ReapIdleConns(IoLoop* loop) {
     NEPTUNE_METRIC_COUNT("server.connections.reaped", 1);
     NEPTUNE_LOG(Info) << "event=connection_reaped idle_ms="
                       << options_.idle_timeout_ms;
-    DestroyConn(loop, conn, /*discard_output=*/false);
+    conn->closing = true;
+    Settle(conn, &lock);
   }
 }
-
 
 }  // namespace rpc
 }  // namespace neptune

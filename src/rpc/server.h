@@ -2,28 +2,38 @@
 // serves the wire protocol against a HamInterface (normally the local
 // ham::Ham engine).
 //
-// Since PR 6 the server is event-driven: a small set of IO loops
-// (epoll on Linux, poll elsewhere — rpc/poller.h) do nonblocking reads
-// into per-connection FrameDecoder buffers and nonblocking writes from
-// per-connection outbound queues, while a fixed worker pool executes
-// the decoded requests against the HAM. Requests carrying the
-// kRequestIdFlag extension may complete out of order — that is how a
-// pipelined client keeps N requests in flight on one connection —
-// while plain requests keep the historical one-at-a-time, in-order
-// contract. Sessions opened by a connection are closed automatically
-// when it disconnects — a crashed client aborts its open transaction,
-// which the HAM recovers from completely.
+// The server runs each request to completion on one thread: a pool of
+// `worker_threads` threads shares one one-shot poller (epoll on Linux,
+// poll elsewhere — rpc/poller.h), and the thread woken for a
+// connection reads it, decodes the frames, executes the requests
+// against the HAM, writes the replies and re-arms the connection.
+// There is no hand-off between an IO thread and a worker.
+//
+// One-shot arming is what keeps the wire contract. A connection that
+// delivered a plain request stays disarmed until its reply is written,
+// so plain requests are answered one at a time, in order. Requests
+// carrying the kRequestIdFlag extension may complete out of order —
+// that is how a pipelined client keeps N requests in flight on one
+// connection — so they go on a per-connection pending list, and the
+// connection is re-armed before each one runs: for reading, and for
+// writability while more are pending, which wakes an idle thread to
+// take the next. A slow tagged request never blocks the next read nor
+// the tagged requests read with it. A thread sends the replies it
+// produced together, but never holds them while it runs a request
+// that may wait on another client. Sessions opened by a
+// connection are closed automatically when it disconnects — a crashed
+// client aborts its open transaction, which the HAM recovers from
+// completely.
 
 #ifndef NEPTUNE_RPC_SERVER_H_
 #define NEPTUNE_RPC_SERVER_H_
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
@@ -54,7 +64,9 @@ class Server {
     // kUnavailable plus a retry-after-ms hint; above
     // `max_inflight_requests` everything except abort/commit/close/
     // ping/stats is refused (those reduce load or are needed to see
-    // what is happening). Queued-but-not-yet-executing requests count.
+    // what is happening). Requests read and not yet answered count,
+    // and, while every thread is busy, so does each connection whose
+    // request still waits unread in its socket buffer.
     int max_inflight_requests = 256;
     int shed_inflight_requests = 192;
     uint32_t retry_after_ms = 50;
@@ -71,9 +83,8 @@ class Server {
     // emulates a pre-pipelining server the same way, proving a
     // pipelined client degrades to one request in flight.
     bool accept_request_ids = true;
-    // Event-loop sizing: IO loops multiplex connections; workers
-    // execute requests. Values < 1 are clamped to 1.
-    int io_threads = 1;
+    // Threads serving connections (accept, read, execute, reply).
+    // Values < 1 are clamped to 1.
     int worker_threads = 4;
     // On Stop(), how long to keep flushing replies to peers that have
     // stopped reading before force-closing them. In-flight requests
@@ -104,50 +115,48 @@ class Server {
 
  private:
   struct Conn;
-  struct IoLoop;
+  struct Request;  // one decoded request
+  struct Batch;    // replies one thread holds for a connection
 
-  // One unit for the worker pool: either a decoded request or the
-  // disconnect cleanup for a connection that is gone.
-  struct Work {
-    std::shared_ptr<Conn> conn;
-    std::string request;      // received payload, extensions rewritten
-    size_t request_off = 0;   // plain request starts here (method byte)
-    bool tagged = false;
-    uint64_t request_id = 0;
-    TraceContext remote_ctx;  // zeroed when the request came plain
-    std::vector<uint64_t> cleanup_sessions;
-    bool is_cleanup = false;
-  };
+  void ThreadMain();
+  void AcceptReady();
+  // Handles one readiness event for `conn` on the calling thread.
+  void ServeConn(const std::shared_ptr<Conn>& conn, const Poller::Event& ev);
+  // Reads and decodes what the socket holds, queues the tagged requests
+  // on the connection and runs the plain ones in order. Called with
+  // reader_busy set and `lock` released; returns with `lock` held.
+  void ReadConn(const std::shared_ptr<Conn>& conn,
+                std::unique_lock<std::mutex>* lock);
+  // Runs the connection's pending tagged requests one at a time.
+  // Called and returns with `lock` held.
+  void RunPending(const std::shared_ptr<Conn>& conn,
+                  std::unique_lock<std::mutex>* lock);
+  // Runs one request into `batch`, first delivering the replies the
+  // batch holds if this request may wait on another client. Called and
+  // returns with `lock` released.
+  void Run(Conn* conn, std::unique_lock<std::mutex>* lock, Request* request,
+           Batch* batch);
+  // Under conn->mu: queues the batch's replies (or breaks the
+  // connection when one could not be framed), writes what the socket
+  // takes and empties the batch.
+  void Deliver(Conn* conn, Batch* batch);
+  // Runs one request and appends its framed reply to `out`; false if
+  // the reply is too large to frame (the connection must die).
+  bool Execute(Conn* conn, Request* request, std::string* out);
+  // The admission-control load: requests read and not yet answered,
+  // plus, while every thread is busy, the connections with unread
+  // bytes.
+  int Load();
+  void ReapIdleConns();
+  std::vector<std::shared_ptr<Conn>> SnapshotConns();
 
-  void IoLoopMain(IoLoop* loop);
-  void WorkerMain();
-
-  // IO-thread helpers (each runs on `loop`'s thread only).
-  void AcceptReady(IoLoop* loop);
-  void ReadReady(IoLoop* loop, const std::shared_ptr<Conn>& conn);
-  void FlushConn(IoLoop* loop, const std::shared_ptr<Conn>& conn);
-  void DestroyConn(IoLoop* loop, const std::shared_ptr<Conn>& conn,
-                   bool discard_output);
-  void MaybeDestroyConn(IoLoop* loop, const std::shared_ptr<Conn>& conn);
-  void ReapIdleConns(IoLoop* loop);
-
-  // Parses the request extensions and either appends the decoded work
-  // to `ready` (enqueued in one batch per read) or writes an immediate
-  // error reply.
-  void DispatchRequest(IoLoop* loop, const std::shared_ptr<Conn>& conn,
-                       std::string payload, std::vector<Work>* ready);
-
-  // Appends a framed reply (id_prefix + payload) to the connection's
-  // outbound queue. May be called from any thread. When `notify` is
-  // false the caller is responsible for waking the owning IO loop.
-  void QueueReply(const std::shared_ptr<Conn>& conn, std::string_view payload,
-                  std::string_view id_prefix = {}, bool notify = true);
-
-  void EnqueueWork(Work work);
-  // Single-lock enqueue of several requests decoded from one read.
-  void EnqueueWorkBatch(std::vector<Work>* works);
-  // Executes one decoded request (worker thread).
-  void ExecuteRequest(Work* work);
+  // Every arming and teardown decision goes through Settle: under
+  // conn->mu it arms the connection for the interest its state implies
+  // and tears it down once it is closing with nothing in flight and
+  // nothing left to write. Releases `lock`.
+  void Settle(const std::shared_ptr<Conn>& conn,
+              std::unique_lock<std::mutex>* lock);
+  void Teardown(const std::shared_ptr<Conn>& conn);
 
   int64_t Now() const;
 
@@ -158,20 +167,25 @@ class Server {
   RequestDispatcher dispatcher_;
   TimeSource* time_;
   std::unique_ptr<Listener> listener_;
+  std::unique_ptr<Poller> poller_;
+  // Every connection, level-triggered and never waited on: a
+  // zero-timeout Wait() counts the ones holding unread bytes.
+  std::unique_ptr<Poller> backlog_;
   uint16_t port_ = 0;
+  // Level-triggered: once written, wakes every thread to exit.
+  int quit_r_ = -1;
+  int quit_w_ = -1;
   std::atomic<bool> stopping_{false};
   std::atomic<int> inflight_{0};
-  std::atomic<size_t> next_loop_{0};
-  std::atomic<int64_t> drain_deadline_us_{0};
+  std::atomic<int> busy_threads_{0};
+  std::atomic<int> waiting_{0};  // last backlog_ count
+  std::atomic<int64_t> next_backlog_us_{0};
+  std::atomic<int64_t> next_reap_us_{0};
 
-  std::vector<std::unique_ptr<IoLoop>> loops_;
-
-  // Worker pool: a shared queue drained by worker_threads threads.
-  std::mutex work_mu_;
-  std::condition_variable work_cv_;
-  std::deque<Work> work_queue_;
-  bool workers_stop_ = false;
-  std::vector<std::thread> workers_;
+  std::mutex conns_mu_;
+  std::condition_variable conns_cv_;  // signalled as connections go
+  std::unordered_map<int, std::shared_ptr<Conn>> conns_;
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace rpc

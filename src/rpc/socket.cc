@@ -160,7 +160,9 @@ Status FrameStream::SendBytes(std::string_view bytes) {
 }
 
 Result<std::string> FrameStream::RecvFrame() {
-  while (pending_.empty()) {
+  while (pending_off_ == pending_.size()) {
+    pending_.clear();
+    pending_off_ = 0;
     if (closed_.load()) return Status::NetworkError("stream is closed");
     char buf[1 << 16];
     ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
@@ -173,9 +175,7 @@ Result<std::string> FrameStream::RecvFrame() {
         decoder_.Feed(std::string_view(buf, static_cast<size_t>(n)),
                       &pending_));
   }
-  std::string frame = std::move(pending_.front());
-  pending_.erase(pending_.begin());
-  return frame;
+  return std::move(pending_[pending_off_++]);
 }
 
 Listener::~Listener() {

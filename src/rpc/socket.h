@@ -76,7 +76,10 @@ class FrameStream {
   std::atomic<bool> closed_{false};
   uint32_t max_frame_bytes_ = kMaxFrameBytes;
   FrameDecoder decoder_;
+  // Frames decoded by one recv(); RecvFrame hands them out in order
+  // from pending_off_ (a pipelined reply burst arrives in one recv).
   std::vector<std::string> pending_;
+  size_t pending_off_ = 0;
 };
 
 class Listener {

@@ -507,9 +507,7 @@ TEST_F(RpcPipelineTest, DowngradesAgainstPrePipeliningServer) {
 // The whole stack works over the poll(2) fallback poller.
 TEST_F(RpcPipelineTest, PollBackendServesPipelinedClients) {
   ::setenv("NEPTUNE_RPC_FORCE_POLL", "1", 1);
-  Server::Options options;
-  options.io_threads = 2;
-  StartServer(options);
+  StartServer(Server::Options());
   ::unsetenv("NEPTUNE_RPC_FORCE_POLL");
   ConnectPipelined();
   std::vector<RemoteHam::PendingCall> calls;
@@ -527,7 +525,6 @@ TEST_F(RpcPipelineTest, PollBackendServesPipelinedClients) {
 // plain (untagged) clients mix in on the same server.
 TEST_F(RpcPipelineTest, MixedClientsOnMultiLoopServer) {
   Server::Options options;
-  options.io_threads = 2;
   options.worker_threads = 4;
   StartServer(options);
   ConnectPipelined();
