@@ -177,10 +177,8 @@ void BM_OpenNodeRemotePipelinedWindow(benchmark::State& state) {
   RpcFixture* f = Fixture();
   const size_t depth = static_cast<size_t>(state.range(0));
   std::string args;
-  PutVarint64(&args, f->remote_ctx.session);
-  PutVarint64(&args, f->nodes[0]);
-  PutVarint64(&args, 0);                  // time
-  rpc::EncodeIndexVecTo({}, &args);       // no attributes
+  rpc::EncodeArgs(&args, f->remote_ctx, f->nodes[0], ham::Time{0},
+                  std::vector<ham::AttributeIndex>{});  // no attributes
   std::deque<rpc::RemoteHam::PendingCall> window;
   for (auto _ : state) {
     while (window.size() < depth) {
@@ -210,10 +208,8 @@ BENCHMARK(BM_OpenNodeRemotePipelinedWindow)
 void BM_OpenNodeRemoteSharedPipelinedWindow8(benchmark::State& state) {
   RpcFixture* f = Fixture();
   std::string args;
-  PutVarint64(&args, f->remote_ctx.session);
-  PutVarint64(&args, f->nodes[0]);
-  PutVarint64(&args, 0);                  // time
-  rpc::EncodeIndexVecTo({}, &args);       // no attributes
+  rpc::EncodeArgs(&args, f->remote_ctx, f->nodes[0], ham::Time{0},
+                  std::vector<ham::AttributeIndex>{});  // no attributes
   std::deque<rpc::RemoteHam::PendingCall> window;
   for (auto _ : state) {
     while (window.size() < 8) {

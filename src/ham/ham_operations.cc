@@ -37,6 +37,18 @@ class SharedReadLock {
 
 bool NodeCanRead(uint32_t protections) { return (protections & 0444) != 0; }
 
+// The demon index packs an event into four bits of its key, so a value
+// past the last Event would alias another node's demon.
+Status CheckEvent(Event event) {
+  if (static_cast<uint8_t>(event) >
+      static_cast<uint8_t>(Event::kCommitTransaction)) {
+    return Status::InvalidArgument(
+        "unknown demon event " +
+        std::to_string(static_cast<int>(static_cast<uint8_t>(event))));
+  }
+  return Status::OK();
+}
+
 // Validates that every requested attribute index is defined.
 Status ValidateAttrRequest(const AttributeTable& table,
                            const std::vector<AttributeIndex>& attrs) {
@@ -786,6 +798,7 @@ Status Ham::SetGraphDemonValue(Context ctx, Event event,
                                const std::string& demon) {
   NEPTUNE_TRACE_SPAN(op_span, "ham.setGraphDemonValue");
   NEPTUNE_METRIC_TIMED(timer, "ham.op.demon");
+  NEPTUNE_RETURN_IF_ERROR(CheckEvent(event));
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
   Op op;
   op.kind = OpKind::kSetGraphDemon;
@@ -808,6 +821,7 @@ Status Ham::SetNodeDemon(Context ctx, NodeIndex node, Event event,
                          const std::string& demon) {
   NEPTUNE_TRACE_SPAN(op_span, "ham.setNodeDemon");
   NEPTUNE_METRIC_TIMED(timer, "ham.op.demon");
+  NEPTUNE_RETURN_IF_ERROR(CheckEvent(event));
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
   Op op;
   op.kind = OpKind::kSetNodeDemon;

@@ -1,69 +1,21 @@
 #include "rpc/dispatch.h"
 
-#include <array>
-
 #include "common/coding.h"
 #include "common/metrics.h"
-#include "obs/window.h"
 
 namespace neptune {
 namespace rpc {
 
 namespace {
 
-using ham::Context;
-
-// Per-method request counters, resolved once for all 256 method bytes
-// so the per-request path never takes the registry lock. Unknown bytes
-// all share the "rpc.request.unknown" counter.
+// Per-method request counters ("rpc.request.openNode"); unknown bytes
+// all share "rpc.request.unknown".
 Counter* MethodCounter(Method method) {
-  static std::array<Counter*, 256>* counters = [] {
-    auto* table = new std::array<Counter*, 256>();
-    for (int i = 0; i < 256; ++i) {
-      (*table)[i] = MetricsRegistry::Instance().GetCounter(
-          std::string("rpc.request.") + MethodName(static_cast<Method>(i)));
-    }
-    return table;
-  }();
+  static const auto* counters =
+      PerMethod<Counter*>([](const std::string& name) {
+        return MetricsRegistry::Instance().GetCounter("rpc.request." + name);
+      });
   return (*counters)[static_cast<uint8_t>(method)];
-}
-
-// Decode helpers that fail by returning false; the dispatcher turns
-// that into a Corruption reply.
-bool GetContext(std::string_view* in, Context* ctx) {
-  return GetVarint64(in, &ctx->session);
-}
-
-bool GetString(std::string_view* in, std::string* out) {
-  std::string_view s;
-  if (!GetLengthPrefixed(in, &s)) return false;
-  out->assign(s);
-  return true;
-}
-
-bool GetBool(std::string_view* in, bool* out) {
-  if (in->empty()) return false;
-  *out = in->front() != 0;
-  in->remove_prefix(1);
-  return true;
-}
-
-bool GetEvent(std::string_view* in, ham::Event* out) {
-  if (in->empty()) return false;
-  *out = static_cast<ham::Event>(in->front());
-  in->remove_prefix(1);
-  return true;
-}
-
-std::string BadRequest(std::string_view what) { return BadRequestReply(what); }
-
-// Builds a reply from a Result<T> plus a result encoder.
-template <typename T, typename Encoder>
-std::string ResultReply(const Result<T>& result, Encoder encode) {
-  std::string reply;
-  EncodeStatusTo(result.ok() ? Status::OK() : result.status(), &reply);
-  if (result.ok()) encode(*result, &reply);
-  return reply;
 }
 
 }  // namespace
@@ -104,22 +56,7 @@ std::vector<uint64_t> SessionSet::Drain() {
 
 bool ShouldShed(Method method, int inflight, const AdmissionOptions& options) {
   if (inflight <= options.shed_inflight_requests) return false;
-  // Always admitted: operations that shrink the server's obligations
-  // (finishing or abandoning a transaction, closing a session) and the
-  // two diagnostics an operator needs during an overload event.
-  switch (method) {
-    case Method::kCommitTransaction:
-    case Method::kAbortTransaction:
-    case Method::kCloseGraph:
-    case Method::kPing:
-    case Method::kGetServerStatistics:
-    case Method::kGetServerStatisticsDelta:
-    case Method::kGetRecentTraces:
-    case Method::kGetSlowOps:
-      return false;
-    default:
-      break;
-  }
+  if (IsAlwaysAdmitted(method)) return false;
   if (inflight > options.max_inflight_requests) return true;  // hard cap
   // Between the high-water mark and the cap: shed only the
   // non-transactional read traffic; writers keep their progress.
@@ -141,8 +78,7 @@ std::string ShedReply(int inflight, uint32_t retry_after_ms) {
 
 // ---------------------------------------------------------- extensions
 
-bool ParseRequestEnvelope(std::string payload, bool accept_trace_context,
-                          bool accept_request_ids, RequestEnvelope* out,
+bool ParseRequestEnvelope(std::string payload, RequestEnvelope* out,
                           std::string* error_reply) {
   out->offset = 0;
   out->tagged = false;
@@ -150,30 +86,21 @@ bool ParseRequestEnvelope(std::string payload, bool accept_trace_context,
   out->remote_ctx = TraceContext{};
   // Frame extensions: a flagged method byte is followed by the trace
   // context and/or a request id; strip them so Handle sees the plain
-  // encoding. A server configured like an older build answers flagged
-  // requests exactly as one would: "unknown method <byte>".
+  // encoding.
   if (!payload.empty()) {
     uint8_t first = static_cast<uint8_t>(payload.front());
     std::string_view rest(payload);
     rest.remove_prefix(1);
     if ((first & kTraceContextFlag) != 0) {
-      if (!accept_trace_context) {
-        *error_reply = BadRequest("unknown method " + std::to_string(first));
-        return false;
-      }
       if (!DecodeTraceContextFrom(&rest, &out->remote_ctx)) {
-        *error_reply = BadRequest("trace context");
+        *error_reply = BadRequestReply("trace context");
         return false;
       }
       first &= static_cast<uint8_t>(~kTraceContextFlag);
     }
     if ((first & kRequestIdFlag) != 0) {
-      if (!accept_request_ids) {
-        *error_reply = BadRequest("unknown method " + std::to_string(first));
-        return false;
-      }
       if (!GetVarint64(&rest, &out->request_id) || out->request_id == 0) {
-        *error_reply = BadRequest("request id");
+        *error_reply = BadRequestReply("request id");
         return false;
       }
       first &= static_cast<uint8_t>(~kRequestIdFlag);
@@ -197,591 +124,20 @@ bool ParseRequestEnvelope(std::string payload, bool accept_trace_context,
 
 std::string RequestDispatcher::Handle(std::string_view in,
                                       SessionSet* sessions) {
-  if (in.empty()) return BadRequest("empty");
+  if (in.empty()) return BadRequestReply("empty");
   const Method method = static_cast<Method>(in.front());
   in.remove_prefix(1);
   NEPTUNE_METRIC_TIMED(timer, "rpc.request_latency");
   NEPTUNE_METRIC_COUNT("rpc.requests", 1);
   MethodCounter(method)->Increment();
-
-  Context ctx;
-  switch (method) {
-    case Method::kPing: {
-      std::string reply = StatusReply(Status::OK());
-      reply.append(in);  // echo
-      return reply;
-    }
-
-    case Method::kCreateGraph: {
-      std::string directory;
-      uint32_t protections = 0;
-      if (!GetString(&in, &directory) || !GetVarint32(&in, &protections)) {
-        return BadRequest("createGraph");
-      }
-      return ResultReply(ham_->CreateGraph(directory, protections),
-                         [](const ham::CreateGraphResult& r, std::string* out) {
-                           PutVarint64(out, r.project);
-                           PutVarint64(out, r.creation_time);
-                         });
-    }
-    case Method::kDestroyGraph: {
-      uint64_t project = 0;
-      std::string directory;
-      if (!GetVarint64(&in, &project) || !GetString(&in, &directory)) {
-        return BadRequest("destroyGraph");
-      }
-      return StatusReply(ham_->DestroyGraph(project, directory));
-    }
-    case Method::kOpenGraph: {
-      uint64_t project = 0;
-      std::string machine;
-      std::string directory;
-      if (!GetVarint64(&in, &project) || !GetString(&in, &machine) ||
-          !GetString(&in, &directory)) {
-        return BadRequest("openGraph");
-      }
-      Result<Context> opened = ham_->OpenGraph(project, machine, directory);
-      if (opened.ok()) sessions->Insert(opened->session);
-      return ResultReply(opened, [](const Context& c, std::string* out) {
-        PutVarint64(out, c.session);
-      });
-    }
-    case Method::kCloseGraph: {
-      if (!GetContext(&in, &ctx)) return BadRequest("closeGraph");
-      Status status = ham_->CloseGraph(ctx);
-      if (status.ok()) sessions->Erase(ctx.session);
-      return StatusReply(status);
-    }
-
-    case Method::kBeginTransaction: {
-      if (!GetContext(&in, &ctx)) return BadRequest("begin");
-      return StatusReply(ham_->BeginTransaction(ctx));
-    }
-    case Method::kCommitTransaction: {
-      if (!GetContext(&in, &ctx)) return BadRequest("commit");
-      return StatusReply(ham_->CommitTransaction(ctx));
-    }
-    case Method::kAbortTransaction: {
-      if (!GetContext(&in, &ctx)) return BadRequest("abort");
-      return StatusReply(ham_->AbortTransaction(ctx));
-    }
-
-    case Method::kAddNode: {
-      bool archive = false;
-      if (!GetContext(&in, &ctx) || !GetBool(&in, &archive)) {
-        return BadRequest("addNode");
-      }
-      return ResultReply(ham_->AddNode(ctx, archive),
-                         [](const ham::AddNodeResult& r, std::string* out) {
-                           PutVarint64(out, r.node);
-                           PutVarint64(out, r.creation_time);
-                         });
-    }
-    case Method::kDeleteNode: {
-      uint64_t node = 0;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &node)) {
-        return BadRequest("deleteNode");
-      }
-      return StatusReply(ham_->DeleteNode(ctx, node));
-    }
-    case Method::kAddLink: {
-      ham::LinkPt from;
-      ham::LinkPt to;
-      if (!GetContext(&in, &ctx) || !DecodeLinkPtFrom(&in, &from) ||
-          !DecodeLinkPtFrom(&in, &to)) {
-        return BadRequest("addLink");
-      }
-      return ResultReply(ham_->AddLink(ctx, from, to),
-                         [](const ham::AddLinkResult& r, std::string* out) {
-                           PutVarint64(out, r.link);
-                           PutVarint64(out, r.creation_time);
-                         });
-    }
-    case Method::kCopyLink: {
-      uint64_t link = 0;
-      uint64_t time = 0;
-      bool copy_source = false;
-      ham::LinkPt other;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &link) ||
-          !GetVarint64(&in, &time) || !GetBool(&in, &copy_source) ||
-          !DecodeLinkPtFrom(&in, &other)) {
-        return BadRequest("copyLink");
-      }
-      return ResultReply(ham_->CopyLink(ctx, link, time, copy_source, other),
-                         [](const ham::AddLinkResult& r, std::string* out) {
-                           PutVarint64(out, r.link);
-                           PutVarint64(out, r.creation_time);
-                         });
-    }
-    case Method::kDeleteLink: {
-      uint64_t link = 0;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &link)) {
-        return BadRequest("deleteLink");
-      }
-      return StatusReply(ham_->DeleteLink(ctx, link));
-    }
-
-    case Method::kLinearizeGraph:
-    case Method::kGetGraphQuery: {
-      uint64_t start = 0;
-      uint64_t time = 0;
-      std::string node_pred;
-      std::string link_pred;
-      std::vector<uint64_t> node_attrs;
-      std::vector<uint64_t> link_attrs;
-      if (!GetContext(&in, &ctx)) return BadRequest("query");
-      if (method == Method::kLinearizeGraph && !GetVarint64(&in, &start)) {
-        return BadRequest("linearize start");
-      }
-      if (!GetVarint64(&in, &time) || !GetString(&in, &node_pred) ||
-          !GetString(&in, &link_pred) ||
-          !DecodeIndexVecFrom(&in, &node_attrs) ||
-          !DecodeIndexVecFrom(&in, &link_attrs)) {
-        return BadRequest("query args");
-      }
-      Result<ham::SubGraph> result =
-          method == Method::kLinearizeGraph
-              ? ham_->LinearizeGraph(ctx, start, time, node_pred, link_pred,
-                                     node_attrs, link_attrs)
-              : ham_->GetGraphQuery(ctx, time, node_pred, link_pred,
-                                    node_attrs, link_attrs);
-      return ResultReply(result, EncodeSubGraphTo);
-    }
-
-    case Method::kGetGraphQueryExplained: {
-      uint64_t time = 0;
-      std::string node_pred;
-      std::string link_pred;
-      std::vector<uint64_t> node_attrs;
-      std::vector<uint64_t> link_attrs;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &time) ||
-          !GetString(&in, &node_pred) || !GetString(&in, &link_pred) ||
-          !DecodeIndexVecFrom(&in, &node_attrs) ||
-          !DecodeIndexVecFrom(&in, &link_attrs) || in.empty()) {
-        return BadRequest("query explain args");
-      }
-      const uint8_t flags = static_cast<uint8_t>(in.front());
-      in.remove_prefix(1);
-      ham::QueryOptions options;
-      options.force_scan = (flags & 1) != 0;
-      options.verify = (flags & 2) != 0;
-      Result<ham::QueryExplain> result = ham_->GetGraphQueryExplained(
-          ctx, time, node_pred, link_pred, node_attrs, link_attrs, options);
-      return ResultReply(result, EncodeQueryExplainTo);
-    }
-
-    case Method::kOpenNode: {
-      uint64_t node = 0;
-      uint64_t time = 0;
-      std::vector<uint64_t> attrs;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &node) ||
-          !GetVarint64(&in, &time) || !DecodeIndexVecFrom(&in, &attrs)) {
-        return BadRequest("openNode");
-      }
-      return ResultReply(ham_->OpenNode(ctx, node, time, attrs),
-                         EncodeOpenNodeResultTo);
-    }
-    case Method::kModifyNode: {
-      uint64_t node = 0;
-      uint64_t expected = 0;
-      std::string contents;
-      std::vector<ham::AttachmentUpdate> attachments;
-      std::string explanation;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &node) ||
-          !GetVarint64(&in, &expected) || !GetString(&in, &contents) ||
-          !DecodeAttachmentUpdatesFrom(&in, &attachments) ||
-          !GetString(&in, &explanation)) {
-        return BadRequest("modifyNode");
-      }
-      return StatusReply(ham_->ModifyNode(ctx, node, expected, contents,
-                                          attachments, explanation));
-    }
-    case Method::kGetNodeTimeStamp: {
-      uint64_t node = 0;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &node)) {
-        return BadRequest("getNodeTimeStamp");
-      }
-      return ResultReply(ham_->GetNodeTimeStamp(ctx, node),
-                         [](const ham::Time& t, std::string* out) {
-                           PutVarint64(out, t);
-                         });
-    }
-    case Method::kChangeNodeProtection: {
-      uint64_t node = 0;
-      uint32_t protections = 0;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &node) ||
-          !GetVarint32(&in, &protections)) {
-        return BadRequest("changeNodeProtection");
-      }
-      return StatusReply(ham_->ChangeNodeProtection(ctx, node, protections));
-    }
-    case Method::kGetNodeVersions: {
-      uint64_t node = 0;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &node)) {
-        return BadRequest("getNodeVersions");
-      }
-      return ResultReply(ham_->GetNodeVersions(ctx, node),
-                         EncodeNodeVersionsTo);
-    }
-    case Method::kGetNodeDifferences: {
-      uint64_t node = 0;
-      uint64_t t1 = 0;
-      uint64_t t2 = 0;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &node) ||
-          !GetVarint64(&in, &t1) || !GetVarint64(&in, &t2)) {
-        return BadRequest("getNodeDifferences");
-      }
-      return ResultReply(ham_->GetNodeDifferences(ctx, node, t1, t2),
-                         EncodeDifferencesTo);
-    }
-
-    case Method::kGetToNode:
-    case Method::kGetFromNode: {
-      uint64_t link = 0;
-      uint64_t time = 0;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &link) ||
-          !GetVarint64(&in, &time)) {
-        return BadRequest("getEndNode");
-      }
-      Result<ham::LinkEndResult> result =
-          method == Method::kGetToNode ? ham_->GetToNode(ctx, link, time)
-                                       : ham_->GetFromNode(ctx, link, time);
-      return ResultReply(result,
-                         [](const ham::LinkEndResult& r, std::string* out) {
-                           PutVarint64(out, r.node);
-                           PutVarint64(out, r.version_time);
-                         });
-    }
-
-    case Method::kGetAttributes: {
-      uint64_t time = 0;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &time)) {
-        return BadRequest("getAttributes");
-      }
-      return ResultReply(ham_->GetAttributes(ctx, time),
-                         EncodeAttributeEntriesTo);
-    }
-    case Method::kGetAttributeValues: {
-      uint64_t attr = 0;
-      uint64_t time = 0;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &attr) ||
-          !GetVarint64(&in, &time)) {
-        return BadRequest("getAttributeValues");
-      }
-      return ResultReply(ham_->GetAttributeValues(ctx, attr, time),
-                         EncodeStringVecTo);
-    }
-    case Method::kGetAttributeIndex: {
-      std::string name;
-      if (!GetContext(&in, &ctx) || !GetString(&in, &name)) {
-        return BadRequest("getAttributeIndex");
-      }
-      return ResultReply(ham_->GetAttributeIndex(ctx, name),
-                         [](const ham::AttributeIndex& a, std::string* out) {
-                           PutVarint64(out, a);
-                         });
-    }
-
-    case Method::kSetNodeAttributeValue:
-    case Method::kSetLinkAttributeValue: {
-      uint64_t target = 0;
-      uint64_t attr = 0;
-      std::string value;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &target) ||
-          !GetVarint64(&in, &attr) || !GetString(&in, &value)) {
-        return BadRequest("setAttributeValue");
-      }
-      Status status =
-          method == Method::kSetNodeAttributeValue
-              ? ham_->SetNodeAttributeValue(ctx, target, attr, value)
-              : ham_->SetLinkAttributeValue(ctx, target, attr, value);
-      return StatusReply(status);
-    }
-    case Method::kDeleteNodeAttribute:
-    case Method::kDeleteLinkAttribute: {
-      uint64_t target = 0;
-      uint64_t attr = 0;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &target) ||
-          !GetVarint64(&in, &attr)) {
-        return BadRequest("deleteAttribute");
-      }
-      Status status = method == Method::kDeleteNodeAttribute
-                          ? ham_->DeleteNodeAttribute(ctx, target, attr)
-                          : ham_->DeleteLinkAttribute(ctx, target, attr);
-      return StatusReply(status);
-    }
-    case Method::kGetNodeAttributeValue:
-    case Method::kGetLinkAttributeValue: {
-      uint64_t target = 0;
-      uint64_t attr = 0;
-      uint64_t time = 0;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &target) ||
-          !GetVarint64(&in, &attr) || !GetVarint64(&in, &time)) {
-        return BadRequest("getAttributeValue");
-      }
-      Result<std::string> result =
-          method == Method::kGetNodeAttributeValue
-              ? ham_->GetNodeAttributeValue(ctx, target, attr, time)
-              : ham_->GetLinkAttributeValue(ctx, target, attr, time);
-      return ResultReply(result, [](const std::string& v, std::string* out) {
-        PutLengthPrefixed(out, v);
-      });
-    }
-    case Method::kGetNodeAttributes:
-    case Method::kGetLinkAttributes: {
-      uint64_t target = 0;
-      uint64_t time = 0;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &target) ||
-          !GetVarint64(&in, &time)) {
-        return BadRequest("getAttributes(node/link)");
-      }
-      Result<std::vector<ham::AttributeValueEntry>> result =
-          method == Method::kGetNodeAttributes
-              ? ham_->GetNodeAttributes(ctx, target, time)
-              : ham_->GetLinkAttributes(ctx, target, time);
-      return ResultReply(result, EncodeAttributeValueEntriesTo);
-    }
-
-    case Method::kSetGraphDemonValue: {
-      ham::Event event;
-      std::string demon;
-      if (!GetContext(&in, &ctx) || !GetEvent(&in, &event) ||
-          !GetString(&in, &demon)) {
-        return BadRequest("setGraphDemonValue");
-      }
-      return StatusReply(ham_->SetGraphDemonValue(ctx, event, demon));
-    }
-    case Method::kGetGraphDemons: {
-      uint64_t time = 0;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &time)) {
-        return BadRequest("getGraphDemons");
-      }
-      return ResultReply(ham_->GetGraphDemons(ctx, time), EncodeDemonEntriesTo);
-    }
-    case Method::kSetNodeDemon: {
-      uint64_t node = 0;
-      ham::Event event;
-      std::string demon;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &node) ||
-          !GetEvent(&in, &event) || !GetString(&in, &demon)) {
-        return BadRequest("setNodeDemon");
-      }
-      return StatusReply(ham_->SetNodeDemon(ctx, node, event, demon));
-    }
-    case Method::kGetNodeDemons: {
-      uint64_t node = 0;
-      uint64_t time = 0;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &node) ||
-          !GetVarint64(&in, &time)) {
-        return BadRequest("getNodeDemons");
-      }
-      return ResultReply(ham_->GetNodeDemons(ctx, node, time),
-                         EncodeDemonEntriesTo);
-    }
-
-    case Method::kCreateContext: {
-      std::string name;
-      if (!GetContext(&in, &ctx) || !GetString(&in, &name)) {
-        return BadRequest("createContext");
-      }
-      return ResultReply(ham_->CreateContext(ctx, name),
-                         [](const ham::ContextInfo& info, std::string* out) {
-                           PutVarint64(out, info.thread);
-                           PutLengthPrefixed(out, info.name);
-                           PutVarint64(out, info.branched_at);
-                         });
-    }
-    case Method::kOpenContext: {
-      uint64_t thread = 0;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &thread)) {
-        return BadRequest("openContext");
-      }
-      Result<Context> opened = ham_->OpenContext(ctx, thread);
-      if (opened.ok()) sessions->Insert(opened->session);
-      return ResultReply(opened, [](const Context& c, std::string* out) {
-        PutVarint64(out, c.session);
-      });
-    }
-    case Method::kMergeContext: {
-      uint64_t source = 0;
-      bool force = false;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &source) ||
-          !GetBool(&in, &force)) {
-        return BadRequest("mergeContext");
-      }
-      return StatusReply(ham_->MergeContext(ctx, source, force));
-    }
-    case Method::kListContexts: {
-      if (!GetContext(&in, &ctx)) return BadRequest("listContexts");
-      return ResultReply(ham_->ListContexts(ctx), EncodeContextInfosTo);
-    }
-
-    case Method::kCheckpoint: {
-      if (!GetContext(&in, &ctx)) return BadRequest("checkpoint");
-      return StatusReply(ham_->Checkpoint(ctx));
-    }
-    case Method::kGetStats: {
-      if (!GetContext(&in, &ctx)) return BadRequest("getStats");
-      return ResultReply(ham_->GetStats(ctx), EncodeStatsTo);
-    }
-    case Method::kContextThread: {
-      if (!GetContext(&in, &ctx)) return BadRequest("contextThread");
-      return ResultReply(ham_->ContextThread(ctx),
-                         [](const ham::ThreadId& t, std::string* out) {
-                           PutVarint64(out, t);
-                         });
-    }
-
-    case Method::kGetServerStatistics: {
-      // Server-wide, so no Context: any client may ask, even before it
-      // has opened a graph.
-      std::string reply = StatusReply(Status::OK());
-      MetricsRegistry::Instance().Snapshot().EncodeTo(&reply);
-      return reply;
-    }
-    case Method::kGetServerStatisticsDelta: {
-      // Windowed rates from the process-wide sample ring. A server
-      // without a sampler answers elapsed_us = 0 and an empty delta —
-      // still OK, so `neptune_ctl top` can tell "no sampler" from "no
-      // traffic".
-      uint64_t window_s = 0;
-      if (!GetVarint64(&in, &window_s) || window_s == 0) {
-        return BadRequest("getServerStatisticsDelta");
-      }
-      MetricsSnapshot delta;
-      uint64_t elapsed_us = 0;
-      obs::MetricsWindow::Instance().Delta(window_s * 1'000'000, &delta,
-                                           &elapsed_us);
-      std::string reply = StatusReply(Status::OK());
-      PutVarint64(&reply, elapsed_us);
-      delta.EncodeTo(&reply);
-      return reply;
-    }
-    case Method::kGetRecentTraces: {
-      // Server-wide like getServerStatistics.
-      std::string reply = StatusReply(Status::OK());
-      EncodeTracesTo(Tracer::Instance().RecentTraces(), &reply);
-      return reply;
-    }
-    case Method::kGetSlowOps: {
-      std::string reply = StatusReply(Status::OK());
-      EncodeSpansTo(Tracer::Instance().SlowOps(), &reply);
-      return reply;
-    }
-
-    case Method::kOpenNodes: {
-      // Batch openNode: one round trip, per-item status — one missing
-      // node must not fail its siblings.
-      uint64_t time = 0;
-      std::vector<uint64_t> attrs;
-      std::vector<uint64_t> nodes;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &time) ||
-          !DecodeIndexVecFrom(&in, &attrs) ||
-          !DecodeIndexVecFrom(&in, &nodes)) {
-        return BadRequest("openNodes");
-      }
-      NEPTUNE_METRIC_COUNT("rpc.server.batch_items", nodes.size());
-      std::string reply = StatusReply(Status::OK());
-      PutVarint64(&reply, nodes.size());
-      for (uint64_t node : nodes) {
-        Result<ham::OpenNodeResult> r = ham_->OpenNode(ctx, node, time, attrs);
-        EncodeStatusTo(r.ok() ? Status::OK() : r.status(), &reply);
-        if (r.ok()) EncodeOpenNodeResultTo(*r, &reply);
-      }
-      return reply;
-    }
-    case Method::kGetAttributeValuesBatch: {
-      // Batch attribute read over mixed node/link targets:
-      //   ctx | time | count | { u8 is_link | entity | attr }*
-      // Reply: count | { status | value-if-ok }*
-      uint64_t time = 0;
-      uint64_t count = 0;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &time) ||
-          !GetVarint64(&in, &count) || count > in.size()) {
-        return BadRequest("getAttributeValuesBatch");
-      }
-      NEPTUNE_METRIC_COUNT("rpc.server.batch_items", count);
-      std::string reply = StatusReply(Status::OK());
-      PutVarint64(&reply, count);
-      for (uint64_t i = 0; i < count; ++i) {
-        bool is_link = false;
-        uint64_t entity = 0;
-        uint64_t attr = 0;
-        if (!GetBool(&in, &is_link) || !GetVarint64(&in, &entity) ||
-            !GetVarint64(&in, &attr)) {
-          return BadRequest("getAttributeValuesBatch item");
-        }
-        Result<std::string> r =
-            is_link ? ham_->GetLinkAttributeValue(ctx, entity, attr, time)
-                    : ham_->GetNodeAttributeValue(ctx, entity, attr, time);
-        EncodeStatusTo(r.ok() ? Status::OK() : r.status(), &reply);
-        if (r.ok()) PutLengthPrefixed(&reply, *r);
-      }
-      return reply;
-    }
-    case Method::kLinearizeAndFetch: {
-      // linearizeGraph plus the contents of every node it returns, in
-      // one round trip — the SubGraph carries structure and attributes
-      // but not contents, so a browser prefetching a document would
-      // otherwise pay one openNode round trip per node.
-      uint64_t start = 0;
-      uint64_t time = 0;
-      std::string node_pred;
-      std::string link_pred;
-      std::vector<uint64_t> node_attrs;
-      std::vector<uint64_t> link_attrs;
-      if (!GetContext(&in, &ctx) || !GetVarint64(&in, &start) ||
-          !GetVarint64(&in, &time) || !GetString(&in, &node_pred) ||
-          !GetString(&in, &link_pred) ||
-          !DecodeIndexVecFrom(&in, &node_attrs) ||
-          !DecodeIndexVecFrom(&in, &link_attrs)) {
-        return BadRequest("linearizeAndFetch");
-      }
-      Result<ham::SubGraph> graph = ham_->LinearizeGraph(
-          ctx, start, time, node_pred, link_pred, node_attrs, link_attrs);
-      if (!graph.ok()) return StatusReply(graph.status());
-      NEPTUNE_METRIC_COUNT("rpc.server.batch_items", graph->nodes.size());
-      std::string reply = StatusReply(Status::OK());
-      EncodeSubGraphTo(*graph, &reply);
-      PutVarint64(&reply, graph->nodes.size());
-      for (const ham::SubGraphNode& n : graph->nodes) {
-        Result<ham::OpenNodeResult> r = ham_->OpenNode(ctx, n.node, time, {});
-        EncodeStatusTo(r.ok() ? Status::OK() : r.status(), &reply);
-        if (r.ok()) {
-          PutLengthPrefixed(&reply, r->contents);
-          PutVarint64(&reply, r->current_version_time);
-        }
-      }
-      return reply;
-    }
-
-    case Method::kReplFetch: {
-      // No Context: the follower's replicator is not a graph session.
-      ham::ReplFetchRequest request;
-      if (!DecodeReplFetchRequestFrom(&in, &request)) {
-        return BadRequest("replFetch");
-      }
-      return ResultReply(ham_->ReplFetch(request), EncodeReplFetchResultTo);
-    }
-    case Method::kReplStatus: {
-      std::string directory;
-      if (!GetString(&in, &directory)) return BadRequest("replStatus");
-      return ResultReply(ham_->ReplStatus(directory), EncodeReplNodeStatusTo);
-    }
-    case Method::kReplListGraphs: {
-      std::string root;
-      if (!GetString(&in, &root)) return BadRequest("replListGraphs");
-      return ResultReply(ham_->ReplListGraphs(root), EncodeStringVecTo);
-    }
-    case Method::kReplPromote: {
-      return ResultReply(ham_->Promote(),
-                         [](const uint64_t& term, std::string* out) {
-                           PutVarint64(out, term);
-                         });
-    }
+  const MethodInfo& info = Describe(method);
+  if (info.serve == nullptr) {
+    return BadRequestReply("unknown method " +
+                           std::to_string(static_cast<int>(method)));
   }
-  return BadRequest("unknown method " +
-                    std::to_string(static_cast<int>(method)));
+  std::optional<std::string> reply = info.serve(ham_, in, sessions);
+  if (!reply.has_value()) return BadRequestReply(info.name);
+  return std::move(*reply);
 }
 
 }  // namespace rpc

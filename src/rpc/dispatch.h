@@ -18,6 +18,7 @@
 
 #include "common/trace.h"
 #include "ham/ham_interface.h"
+#include "rpc/methods.h"
 #include "rpc/wire.h"
 
 namespace neptune {
@@ -51,10 +52,9 @@ struct RequestEnvelope {
 // Parses the optional kTraceContextFlag / kRequestIdFlag extensions in
 // front of `payload` and rewrites the plain method byte in place (the
 // extension bytes before it are dead, so no copy — just an offset).
-// Returns false on a malformed or disabled extension, with
-// *error_reply set to the encoded reply to send back.
-bool ParseRequestEnvelope(std::string payload, bool accept_trace_context,
-                          bool accept_request_ids, RequestEnvelope* out,
+// Returns false on a malformed extension, with *error_reply set to the
+// encoded reply to send back.
+bool ParseRequestEnvelope(std::string payload, RequestEnvelope* out,
                           std::string* error_reply);
 
 // Admission-control thresholds (see Server::Options for semantics).
@@ -63,9 +63,9 @@ struct AdmissionOptions {
   int shed_inflight_requests = 192;
 };
 
-// Non-zero means "refuse this method right now": above the soft mark
-// only non-transactional reads are refused; above the hard cap
-// everything except abort/commit/close/ping/diagnostics is.
+// True means "refuse this method right now": above the soft mark only
+// idempotent methods are refused; above the hard cap everything except
+// the always-admitted classes (rpc/methods.h) is.
 bool ShouldShed(Method method, int inflight, const AdmissionOptions& options);
 
 // The reply sent for a shed request: kUnavailable plus a varint
@@ -78,9 +78,10 @@ std::string BadRequestReply(std::string_view what);
 // An encoded Status-only reply.
 std::string StatusReply(const Status& status);
 
-// Decodes one request payload, runs it against the HAM, and returns
-// the encoded reply. Sessions opened/closed by the request are tracked
-// in `sessions` so a disconnect can clean them up.
+// Decodes one request payload, runs it against the HAM through the
+// method table (rpc/methods.h), and returns the encoded reply. Sessions
+// opened/closed by the request are tracked in `sessions` so a
+// disconnect can clean them up.
 class RequestDispatcher {
  public:
   explicit RequestDispatcher(ham::HamInterface* ham) : ham_(ham) {}

@@ -1,12 +1,13 @@
 #include "rpc/remote_ham.h"
 
 #include <algorithm>
-#include <array>
+#include <type_traits>
 
 #include "common/backoff.h"
 #include "common/clock.h"
 #include "common/coding.h"
 #include "common/trace.h"
+#include "rpc/codec.h"
 
 namespace neptune {
 namespace rpc {
@@ -17,12 +18,6 @@ using ham::Context;
 
 constexpr char kTruncatedReply[] = "truncated reply";
 
-void PutContext(std::string* out, Context ctx) {
-  PutVarint64(out, ctx.session);
-}
-
-void PutBool(std::string* out, bool v) { out->push_back(v ? 1 : 0); }
-
 // Failures of the pipe itself, as opposed to answers from the server.
 bool IsTransportError(const Status& status) {
   return status.IsNetworkError() || status.IsUnavailable() ||
@@ -30,25 +25,27 @@ bool IsTransportError(const Status& status) {
 }
 
 // Per-method client span names ("rpc.client.openNode"), pre-interned
-// for all 256 method bytes (same idiom as the server's MethodCounter).
+// (same idiom as the server's).
 uint32_t ClientSpanNameId(Method method) {
-  static std::array<uint32_t, 256>* names = [] {
-    auto* table = new std::array<uint32_t, 256>();
-    for (int i = 0; i < 256; ++i) {
-      (*table)[i] = Tracer::Instance().InternName(
-          std::string("rpc.client.") + MethodName(static_cast<Method>(i)));
-    }
-    return table;
-  }();
+  static const auto* names = PerMethod<uint32_t>([](const std::string& name) {
+    return Tracer::Instance().InternName("rpc.client." + name);
+  });
   return (*names)[static_cast<uint8_t>(method)];
 }
 
-// A pre-tracing server answers a trace-flagged method byte with this
-// Corruption message (see Server::HandleRequest's default case); the
-// request was never executed, so the client may downgrade and re-send.
-bool IsUnknownMethodReply(const Status& status) {
-  return status.IsCorruption() &&
-         status.message().rfind("malformed request: unknown method", 0) == 0;
+// method byte | trace context when a span is live | request id when
+// non-zero | args, with the extension flags set to match.
+void AppendRequest(Method method, uint64_t request_id, std::string_view args,
+                   std::string* out) {
+  const TraceContext trace = ScopedSpan::CurrentContext();
+  uint8_t first = static_cast<uint8_t>(method);
+  if (trace.valid()) first |= kTraceContextFlag;
+  if (request_id != 0) first |= kRequestIdFlag;
+  out->reserve(1 + 17 + 10 + args.size());
+  out->push_back(static_cast<char>(first));
+  if (trace.valid()) EncodeTraceContextTo(trace, out);
+  if (request_id != 0) PutVarint64(out, request_id);
+  out->append(args);
 }
 
 }  // namespace
@@ -109,120 +106,21 @@ Status RemoteHam::ReconnectLocked() {
   return Status::OK();
 }
 
-Result<std::string> RemoteHam::Call(Method method, std::string_view args) {
-  if (options_.pipeline &&
-      pipeline_wire_ok_.load(std::memory_order_relaxed)) {
-    return CallPipelined(method, args);
-  }
-  return CallSync(method, args);
-}
-
-Result<std::string> RemoteHam::CallSync(Method method, std::string_view args) {
-  // The client half of the request's trace: the server parents its
-  // spans under this one via the propagated context, so the gap
-  // between this span and the server's is wire + queueing time.
-  ScopedSpan span(ClientSpanNameId(method));
-
-  std::string request;
-  request.reserve(1 + args.size());
-  request.push_back(static_cast<char>(method));
-  request.append(args);
-
+Result<std::string> RemoteHam::SendAndReceive(std::string_view request,
+                                              bool* sent) {
   std::lock_guard<std::mutex> lock(mu_);
-  Backoff backoff(options_.backoff_initial_ms, options_.backoff_max_ms, &rng_);
-  // Prepend the trace-context extension when this call is being
-  // traced and the server is not known to predate the extension.
-  bool flagged = false;
-  if (span.active() && trace_wire_ok_.load(std::memory_order_relaxed)) {
-    const TraceContext ctx = ScopedSpan::CurrentContext();
-    if (ctx.valid()) {
-      std::string ext;
-      ext.reserve(1 + 17 + args.size());
-      ext.push_back(static_cast<char>(static_cast<uint8_t>(method) |
-                                      kTraceContextFlag));
-      EncodeTraceContextTo(ctx, &ext);
-      ext.append(args);
-      request = std::move(ext);
-      flagged = true;
-    }
+  if (stream_ == nullptr) NEPTUNE_RETURN_IF_ERROR(ReconnectLocked());
+  *sent = true;
+  Status status = stream_->SendFrame(request);
+  if (status.ok()) {
+    Result<std::string> reply = stream_->RecvFrame();
+    if (reply.ok()) return reply;
+    status = reply.status();
   }
-
-  Status last;
-  for (uint32_t attempt = 0;; ++attempt) {
-    // `sent` distinguishes "the pipe broke before the request left"
-    // (always safe to retry) from "the request may have executed"
-    // (safe only for idempotent methods).
-    bool sent = false;
-    if (stream_ == nullptr) {
-      last = ReconnectLocked();
-    } else {
-      last = Status::OK();
-    }
-    if (last.ok()) {
-      sent = true;
-      last = stream_->SendFrame(request);
-      if (last.ok()) {
-        Result<std::string> reply = stream_->RecvFrame();
-        if (reply.ok()) {
-          std::string_view in = *reply;
-          Status status;
-          if (!DecodeStatusFrom(&in, &status)) {
-            return Status::Corruption("malformed reply status");
-          }
-          // An Unavailable reply carrying a varint body is the
-          // server's load-shed refusal with a retry-after-ms hint. The
-          // request was rejected *before* execution, so re-sending is
-          // safe even for mutations — the stream stays up and the
-          // retry waits at least the hinted backoff.
-          uint32_t retry_after_ms = 0;
-          if (status.IsUnavailable() && !in.empty() &&
-              GetVarint32(&in, &retry_after_ms)) {
-            if (attempt >= options_.max_retries) return status;
-            NEPTUNE_METRIC_COUNT("rpc.client.shed_retries", 1);
-            span.Annotate("shed_retry=1");
-            uint64_t delay = std::max<uint64_t>(retry_after_ms, 1);
-            // Full jitter in [delay/2, delay] spreads the herd of shed
-            // clients back out.
-            delay = delay / 2 + rng_.Uniform(delay / 2 + 1);
-            time_->SleepMicros(delay * 1000);
-            continue;
-          }
-          if (flagged && IsUnknownMethodReply(status)) {
-            // A pre-tracing server balked at the flagged method byte;
-            // the request never executed, so re-sending plain is safe
-            // (even for mutations). Remember the downgrade so every
-            // later call on this client skips the extension.
-            trace_wire_ok_.store(false, std::memory_order_relaxed);
-            NEPTUNE_METRIC_COUNT("rpc.client.trace_downgrades", 1);
-            span.Annotate("trace_wire=downgraded");
-            request.clear();
-            request.push_back(static_cast<char>(method));
-            request.append(args);
-            flagged = false;
-            continue;
-          }
-          NEPTUNE_RETURN_IF_ERROR(status);
-          return std::string(in);
-        }
-        last = reply.status();
-      }
-      // The connection is no longer in a known state (a partial frame
-      // may be stranded in either direction): drop it.
-      stream_.reset();
-    }
-    if (last.IsDeadlineExceeded()) {
-      NEPTUNE_METRIC_COUNT("rpc.client.deadline_exceeded", 1);
-    }
-    if (!IsTransportError(last)) return last;
-    if (sent && !IsIdempotent(method)) return last;
-    if (attempt >= options_.max_retries) return last;
-    NEPTUNE_METRIC_COUNT("rpc.client.retries", 1);
-    span.Annotate("retry=" + std::to_string(attempt + 1));
-    // Shared jittered-exponential policy (common/backoff.h) keeps
-    // reconnect storms spread out.
-    time_->SleepMicros(backoff.DelayForAttemptMs(static_cast<int>(attempt)) *
-                       1000);
-  }
+  // The connection is no longer in a known state (a partial frame may
+  // be stranded in either direction): drop it.
+  stream_.reset();
+  return status;
 }
 
 // ---------------------------------------------------------- pipeline
@@ -276,9 +174,8 @@ Result<std::string> RemoteHam::PendingCall::Wait() {
 // generation broken; the next call builds a fresh one.
 struct RemoteHam::PipelineConn {
   std::mutex mu;
-  std::condition_variable cv;  // slot free / probe settled / broken
+  std::condition_variable cv;  // slot free / broken
   std::unique_ptr<FrameStream> stream;
-  bool confirmed = false;  // a tagged reply has been parsed
   bool broken = false;
   Status error;
   uint64_t next_id = 1;
@@ -353,33 +250,18 @@ void RemoteHam::ReceiverMain(std::shared_ptr<PipelineConn> conn) {
       return;
     }
     std::string_view in = *frame;
-    if (!conn->confirmed) {
-      // Probe phase: an old server answers the tagged probe with an
-      // UNtagged "unknown method" error. Only that exact shape
-      // triggers the downgrade; anything else must be a tagged reply.
-      std::string_view untagged = *frame;
-      Status status;
-      if (DecodeStatusFrom(&untagged, &status) &&
-          IsUnknownMethodReply(status)) {
-        pipeline_wire_ok_.store(false, std::memory_order_relaxed);
-        NEPTUNE_METRIC_COUNT("rpc.client.pipeline_downgrades", 1);
-        conn->BreakLocked(status);
-        return;
-      }
-    }
     uint64_t id = 0;
     if (!GetVarint64(&in, &id)) {
       conn->BreakLocked(Status::Corruption("malformed reply id"));
       return;
     }
-    conn->confirmed = true;
     std::shared_ptr<PendingCall::State> pending;
     auto it = conn->inflight.find(id);
     if (it != conn->inflight.end()) {
       pending = std::move(it->second);
       conn->inflight.erase(it);
     }
-    conn->cv.notify_all();  // a slot freed; the probe may have settled
+    conn->cv.notify_all();  // a slot freed
     lock.unlock();
     // A reply for an unknown id (already failed locally) is dropped.
     if (pending != nullptr) pending->Fulfill(Status::OK(), std::string(in));
@@ -417,12 +299,8 @@ RemoteHam::EnqueueTagged(Method method, std::string_view args, bool* sent) {
 
   const uint32_t max_inflight = std::max<uint32_t>(options_.max_inflight, 1);
   std::unique_lock<std::mutex> lock(conn->mu);
-  // Until the probe's reply proves the server understands request ids,
-  // exactly one request rides the connection.
   conn->cv.wait(lock, [&] {
-    if (conn->broken) return true;
-    if (!conn->confirmed) return conn->inflight.empty();
-    return conn->inflight.size() < max_inflight;
+    return conn->broken || conn->inflight.size() < max_inflight;
   });
   if (conn->broken) return conn->error;
 
@@ -436,16 +314,7 @@ RemoteHam::EnqueueTagged(Method method, std::string_view args, bool* sent) {
   } while (id == 0 || conn->inflight.count(id) != 0);
 
   std::string request;
-  uint8_t flags = static_cast<uint8_t>(method) | kRequestIdFlag;
-  TraceContext trace_ctx = ScopedSpan::CurrentContext();
-  const bool traced =
-      trace_ctx.valid() && trace_wire_ok_.load(std::memory_order_relaxed);
-  if (traced) flags |= kTraceContextFlag;
-  request.reserve(1 + 17 + 10 + args.size());
-  request.push_back(static_cast<char>(flags));
-  if (traced) EncodeTraceContextTo(trace_ctx, &request);
-  PutVarint64(&request, id);
-  request.append(args);
+  AppendRequest(method, id, args, &request);
 
   if (request.size() > conn->stream->max_frame_bytes()) {
     return Status::InvalidArgument(
@@ -464,48 +333,58 @@ RemoteHam::EnqueueTagged(Method method, std::string_view args, bool* sent) {
   return pending;
 }
 
-Result<std::string> RemoteHam::CallPipelined(Method method,
-                                             std::string_view args) {
+Result<std::string> RemoteHam::Call(Method method, std::string_view args) {
+  // The client half of the request's trace: the server parents its
+  // spans under this one via the propagated context, so the gap
+  // between this span and the server's is wire + queueing time.
   ScopedSpan span(ClientSpanNameId(method));
-  Status last;
+  std::string request;
+  if (!options_.pipeline) AppendRequest(method, /*request_id=*/0, args,
+                                        &request);
+
   for (uint32_t attempt = 0;; ++attempt) {
+    // `sent` distinguishes "the pipe broke before the request left"
+    // (always safe to retry) from "the request may have executed"
+    // (safe only for idempotent methods). Only this step differs
+    // between the two paths: one request on the connection at a time,
+    // or a tagged request among others in flight.
     bool sent = false;
-    auto pending = EnqueueTagged(method, args, &sent);
-    Result<std::string> raw =
-        pending.ok() ? (*pending)->WaitRaw() : pending.status();
+    Result<std::string> raw = [&]() -> Result<std::string> {
+      if (!options_.pipeline) return SendAndReceive(request, &sent);
+      NEPTUNE_ASSIGN_OR_RETURN(std::shared_ptr<PendingCall::State> pending,
+                               EnqueueTagged(method, args, &sent));
+      return pending->WaitRaw();
+    }();
     if (raw.ok()) {
       std::string_view in = *raw;
       Status status;
       if (!DecodeStatusFrom(&in, &status)) {
         return Status::Corruption("malformed reply status");
       }
-      // Load-shed refusal: rejected before execution, so re-send after
-      // the hinted backoff (same as the sync path).
+      // An Unavailable reply carrying a varint body is the server's
+      // load-shed refusal with a retry-after-ms hint. The request was
+      // rejected *before* execution, so re-sending is safe even for
+      // mutations — the retry waits at least half the hinted backoff.
       uint32_t retry_after_ms = 0;
-      if (status.IsUnavailable() && !in.empty() &&
-          GetVarint32(&in, &retry_after_ms)) {
-        if (attempt >= options_.max_retries) return status;
-        NEPTUNE_METRIC_COUNT("rpc.client.shed_retries", 1);
-        span.Annotate("shed_retry=1");
-        uint64_t delay = std::max<uint64_t>(retry_after_ms, 1);
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          delay = delay / 2 + rng_.Uniform(delay / 2 + 1);
-        }
-        time_->SleepMicros(delay * 1000);
-        continue;
+      if (!status.IsUnavailable() || in.empty() ||
+          !GetVarint32(&in, &retry_after_ms)) {
+        NEPTUNE_RETURN_IF_ERROR(status);
+        return std::string(in);
       }
-      NEPTUNE_RETURN_IF_ERROR(status);
-      return std::string(in);
+      if (attempt >= options_.max_retries) return status;
+      NEPTUNE_METRIC_COUNT("rpc.client.shed_retries", 1);
+      span.Annotate("shed_retry=1");
+      uint64_t delay = std::max<uint64_t>(retry_after_ms, 1);
+      {
+        // Full jitter in [delay/2, delay] spreads the herd of shed
+        // clients back out.
+        std::lock_guard<std::mutex> lock(rng_mu_);
+        delay = delay / 2 + rng_.Uniform(delay / 2 + 1);
+      }
+      time_->SleepMicros(delay * 1000);
+      continue;
     }
-    last = raw.status();
-    if (IsUnknownMethodReply(last) &&
-        !pipeline_wire_ok_.load(std::memory_order_relaxed)) {
-      // The probe met a pre-pipelining server; the request never
-      // executed, so re-sending one-in-flight is safe for any method.
-      span.Annotate("pipeline=downgraded");
-      return CallSync(method, args);
-    }
+    const Status& last = raw.status();
     if (last.IsDeadlineExceeded()) {
       NEPTUNE_METRIC_COUNT("rpc.client.deadline_exceeded", 1);
     }
@@ -516,9 +395,10 @@ Result<std::string> RemoteHam::CallPipelined(Method method,
     span.Annotate("retry=" + std::to_string(attempt + 1));
     uint64_t delay_ms;
     {
-      // rng_ is guarded by mu_; the shared policy only computes the
-      // delay, so the sleep happens outside the lock.
-      std::lock_guard<std::mutex> lock(mu_);
+      // Shared jittered-exponential policy (common/backoff.h) keeps
+      // reconnect storms spread out; the sleep happens outside the
+      // lock.
+      std::lock_guard<std::mutex> lock(rng_mu_);
       Backoff backoff(options_.backoff_initial_ms, options_.backoff_max_ms,
                       &rng_);
       delay_ms = backoff.DelayForAttemptMs(static_cast<int>(attempt));
@@ -531,8 +411,7 @@ RemoteHam::PendingCall RemoteHam::CallAsync(Method method,
                                             std::string_view args) {
   PendingCall call;
   call.state_ = std::make_shared<PendingCall::State>();
-  if (options_.pipeline &&
-      pipeline_wire_ok_.load(std::memory_order_relaxed)) {
+  if (options_.pipeline) {
     bool sent = false;
     auto pending = EnqueueTagged(method, args, &sent);
     if (pending.ok()) {
@@ -545,7 +424,7 @@ RemoteHam::PendingCall RemoteHam::CallAsync(Method method,
   // No pipeline: execute synchronously and hand back the answer,
   // re-framing it the way a tagged reply would look (status + body) so
   // Wait() decodes both shapes identically.
-  Result<std::string> reply = CallSync(method, args);
+  Result<std::string> reply = Call(method, args);
   if (!reply.ok()) {
     call.state_->Fulfill(reply.status(), "");
   } else {
@@ -555,6 +434,25 @@ RemoteHam::PendingCall RemoteHam::CallAsync(Method method,
     call.state_->Fulfill(Status::OK(), std::move(framed));
   }
   return call;
+}
+
+template <typename R, typename... Args>
+auto RemoteHam::Invoke(Method method, const Args&... args)
+    -> std::conditional_t<std::is_void_v<R>, Status, Result<R>> {
+  std::string encoded;
+  EncodeArgs(&encoded, args...);
+  Result<std::string> reply = Call(method, encoded);
+  if constexpr (std::is_void_v<R>) {
+    return reply.status();
+  } else {
+    if (!reply.ok()) return reply.status();
+    std::string_view in = *reply;
+    R out{};
+    if (!Codec<R>::Decode(&in, &out)) {
+      return Status::Corruption(kTruncatedReply);
+    }
+    return out;
+  }
 }
 
 Status RemoteHam::Ping() {
@@ -580,7 +478,7 @@ Result<MetricsSnapshot> RemoteHam::GetServerStatistics() {
 Result<RemoteHam::StatisticsDelta> RemoteHam::GetServerStatisticsDelta(
     uint32_t window_seconds) {
   std::string args;
-  PutVarint64(&args, window_seconds);
+  EncodeArgs(&args, uint64_t{window_seconds});
   NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
                            Call(Method::kGetServerStatisticsDelta, args));
   std::string_view in = reply;
@@ -613,29 +511,37 @@ Result<std::vector<Span>> RemoteHam::GetSlowOps() {
   return out;
 }
 
+// Batch replies: varint count (which must match the request) followed
+// by one item per request, each a status and, when OK, the item's
+// fields (decoded by `decode`).
+template <typename Item, typename Decode>
+bool DecodeBatch(std::string_view* in, uint64_t expected, Decode decode,
+                 std::vector<Item>* out) {
+  uint64_t count = 0;
+  if (!GetVarint64(in, &count) || count != expected) return false;
+  out->resize(count);
+  for (Item& item : *out) {
+    if (!DecodeStatusFrom(in, &item.status) ||
+        (item.status.ok() && !decode(in, &item))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 Result<std::vector<RemoteHam::OpenNodeItem>> RemoteHam::OpenNodes(
     Context ctx, const std::vector<ham::NodeIndex>& nodes, ham::Time time,
     const std::vector<ham::AttributeIndex>& attrs) {
   std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, time);
-  EncodeIndexVecTo(attrs, &args);
-  EncodeIndexVecTo(nodes, &args);
+  EncodeArgs(&args, ctx, time, attrs, nodes);
   NEPTUNE_ASSIGN_OR_RETURN(std::string reply, Call(Method::kOpenNodes, args));
   std::string_view in = reply;
-  uint64_t count = 0;
-  if (!GetVarint64(&in, &count) || count != nodes.size()) {
+  std::vector<OpenNodeItem> out;
+  auto decode = [](std::string_view* in, OpenNodeItem* item) {
+    return DecodeArgs(in, &item->result);
+  };
+  if (!DecodeBatch(&in, nodes.size(), decode, &out)) {
     return Status::Corruption(kTruncatedReply);
-  }
-  std::vector<OpenNodeItem> out(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    if (!DecodeStatusFrom(&in, &out[i].status)) {
-      return Status::Corruption(kTruncatedReply);
-    }
-    if (out[i].status.ok() &&
-        !DecodeOpenNodeResultFrom(&in, &out[i].result)) {
-      return Status::Corruption(kTruncatedReply);
-    }
   }
   return out;
 }
@@ -644,33 +550,16 @@ Result<std::vector<RemoteHam::AttributeFetchItem>>
 RemoteHam::GetAttributeValuesBatch(Context ctx, ham::Time time,
                                    const std::vector<AttributeFetch>& fetches) {
   std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, time);
-  PutVarint64(&args, fetches.size());
-  for (const AttributeFetch& f : fetches) {
-    PutBool(&args, f.is_link);
-    PutVarint64(&args, f.entity);
-    PutVarint64(&args, f.attr);
-  }
+  EncodeArgs(&args, ctx, time, fetches);
   NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
                            Call(Method::kGetAttributeValuesBatch, args));
   std::string_view in = reply;
-  uint64_t count = 0;
-  if (!GetVarint64(&in, &count) || count != fetches.size()) {
+  std::vector<AttributeFetchItem> out;
+  auto decode = [](std::string_view* in, AttributeFetchItem* item) {
+    return DecodeArgs(in, &item->value);
+  };
+  if (!DecodeBatch(&in, fetches.size(), decode, &out)) {
     return Status::Corruption(kTruncatedReply);
-  }
-  std::vector<AttributeFetchItem> out(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    if (!DecodeStatusFrom(&in, &out[i].status)) {
-      return Status::Corruption(kTruncatedReply);
-    }
-    if (out[i].status.ok()) {
-      std::string_view value;
-      if (!GetLengthPrefixed(&in, &value)) {
-        return Status::Corruption(kTruncatedReply);
-      }
-      out[i].value.assign(value);
-    }
   }
   return out;
 }
@@ -681,77 +570,43 @@ Result<RemoteHam::LinearizeAndFetchResult> RemoteHam::LinearizeAndFetch(
     const std::vector<ham::AttributeIndex>& node_attrs,
     const std::vector<ham::AttributeIndex>& link_attrs) {
   std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, start);
-  PutVarint64(&args, time);
-  PutLengthPrefixed(&args, node_pred);
-  PutLengthPrefixed(&args, link_pred);
-  EncodeIndexVecTo(node_attrs, &args);
-  EncodeIndexVecTo(link_attrs, &args);
+  EncodeArgs(&args, ctx, start, time, node_pred, link_pred, node_attrs,
+             link_attrs);
   NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
                            Call(Method::kLinearizeAndFetch, args));
   std::string_view in = reply;
   LinearizeAndFetchResult out;
-  uint64_t count = 0;
-  if (!DecodeSubGraphFrom(&in, &out.graph) || !GetVarint64(&in, &count) ||
-      count != out.graph.nodes.size()) {
+  auto decode = [](std::string_view* in, NodeContentsItem* item) {
+    return DecodeArgs(in, &item->contents, &item->version_time);
+  };
+  if (!DecodeArgs(&in, &out.graph) ||
+      !DecodeBatch(&in, out.graph.nodes.size(), decode, &out.contents)) {
     return Status::Corruption(kTruncatedReply);
-  }
-  out.contents.resize(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    NodeContentsItem& item = out.contents[i];
-    if (!DecodeStatusFrom(&in, &item.status)) {
-      return Status::Corruption(kTruncatedReply);
-    }
-    if (item.status.ok()) {
-      std::string_view contents;
-      if (!GetLengthPrefixed(&in, &contents) ||
-          !GetVarint64(&in, &item.version_time)) {
-        return Status::Corruption(kTruncatedReply);
-      }
-      item.contents.assign(contents);
-    }
   }
   return out;
 }
 
+// HamInterface ------------------------------------------------------
+// Each operation is one Invoke: its arguments are encoded by their
+// types, and the reply decoded as R (rpc/codec.h).
+
 Result<ham::CreateGraphResult> RemoteHam::CreateGraph(
     const std::string& directory, uint32_t protections) {
-  std::string args;
-  PutLengthPrefixed(&args, directory);
-  PutVarint32(&args, protections);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
-                           Call(Method::kCreateGraph, args));
-  std::string_view in = reply;
-  ham::CreateGraphResult out;
-  if (!GetVarint64(&in, &out.project) ||
-      !GetVarint64(&in, &out.creation_time)) {
-    return Status::Corruption(kTruncatedReply);
-  }
-  return out;
+  return Invoke<ham::CreateGraphResult>(Method::kCreateGraph, directory,
+                                        protections);
 }
 
 Status RemoteHam::DestroyGraph(ham::ProjectId project,
                                const std::string& directory) {
-  std::string args;
-  PutVarint64(&args, project);
-  PutLengthPrefixed(&args, directory);
-  return Call(Method::kDestroyGraph, args).status();
+  return Invoke<void>(Method::kDestroyGraph, project, directory);
 }
 
 Result<Context> RemoteHam::OpenGraph(ham::ProjectId project,
                                      const std::string& machine,
                                      const std::string& directory) {
-  std::string args;
-  PutVarint64(&args, project);
-  PutLengthPrefixed(&args, machine);
-  PutLengthPrefixed(&args, directory);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply, Call(Method::kOpenGraph, args));
-  std::string_view in = reply;
-  Context ctx;
-  if (!GetVarint64(&in, &ctx.session)) {
-    return Status::Corruption(kTruncatedReply);
-  }
+  NEPTUNE_ASSIGN_OR_RETURN(
+      Context ctx,
+      Invoke<Context>(Method::kOpenGraph, project, machine, directory));
   if (follower_ != nullptr) {
     // Shadow session for routed reads. Failure (follower down, graph
     // not yet synced there) just disables routing for this session.
@@ -781,44 +636,30 @@ Status RemoteHam::CloseGraph(Context ctx) {
   if (shadow != 0 && follower_ != nullptr) {
     (void)follower_->CloseGraph(Context{shadow});  // best-effort
   }
-  std::string args;
-  PutContext(&args, ctx);
-  return Call(Method::kCloseGraph, args).status();
+  return Invoke<void>(Method::kCloseGraph, ctx);
+}
+
+void RemoteHam::SetInTransaction(Context ctx, bool in_txn) {
+  std::lock_guard<std::mutex> lock(fmu_);
+  auto it = follower_sessions_.find(ctx.session);
+  if (it != follower_sessions_.end()) it->second.in_txn = in_txn;
 }
 
 Status RemoteHam::BeginTransaction(Context ctx) {
-  std::string args;
-  PutContext(&args, ctx);
-  Status status = Call(Method::kBeginTransaction, args).status();
-  if (status.ok()) {
-    std::lock_guard<std::mutex> lock(fmu_);
-    auto it = follower_sessions_.find(ctx.session);
-    if (it != follower_sessions_.end()) it->second.in_txn = true;
-  }
+  Status status = Invoke<void>(Method::kBeginTransaction, ctx);
+  if (status.ok()) SetInTransaction(ctx, true);
   return status;
 }
 
 Status RemoteHam::CommitTransaction(Context ctx) {
-  std::string args;
-  PutContext(&args, ctx);
-  Status status = Call(Method::kCommitTransaction, args).status();
-  {
-    std::lock_guard<std::mutex> lock(fmu_);
-    auto it = follower_sessions_.find(ctx.session);
-    if (it != follower_sessions_.end()) it->second.in_txn = false;
-  }
+  Status status = Invoke<void>(Method::kCommitTransaction, ctx);
+  SetInTransaction(ctx, false);
   return status;
 }
 
 Status RemoteHam::AbortTransaction(Context ctx) {
-  std::string args;
-  PutContext(&args, ctx);
-  Status status = Call(Method::kAbortTransaction, args).status();
-  {
-    std::lock_guard<std::mutex> lock(fmu_);
-    auto it = follower_sessions_.find(ctx.session);
-    if (it != follower_sessions_.end()) it->second.in_txn = false;
-  }
+  Status status = Invoke<void>(Method::kAbortTransaction, ctx);
+  SetInTransaction(ctx, false);
   return status;
 }
 
@@ -872,39 +713,17 @@ bool RemoteHam::FollowerFresh(const std::string& directory) {
 }
 
 Result<ham::AddNodeResult> RemoteHam::AddNode(Context ctx, bool keep_history) {
-  std::string args;
-  PutContext(&args, ctx);
-  PutBool(&args, keep_history);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply, Call(Method::kAddNode, args));
-  std::string_view in = reply;
-  ham::AddNodeResult out;
-  if (!GetVarint64(&in, &out.node) || !GetVarint64(&in, &out.creation_time)) {
-    return Status::Corruption(kTruncatedReply);
-  }
-  return out;
+  return Invoke<ham::AddNodeResult>(Method::kAddNode, ctx, keep_history);
 }
 
 Status RemoteHam::DeleteNode(Context ctx, ham::NodeIndex node) {
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, node);
-  return Call(Method::kDeleteNode, args).status();
+  return Invoke<void>(Method::kDeleteNode, ctx, node);
 }
 
 Result<ham::AddLinkResult> RemoteHam::AddLink(Context ctx,
                                               const ham::LinkPt& from,
                                               const ham::LinkPt& to) {
-  std::string args;
-  PutContext(&args, ctx);
-  EncodeLinkPtTo(from, &args);
-  EncodeLinkPtTo(to, &args);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply, Call(Method::kAddLink, args));
-  std::string_view in = reply;
-  ham::AddLinkResult out;
-  if (!GetVarint64(&in, &out.link) || !GetVarint64(&in, &out.creation_time)) {
-    return Status::Corruption(kTruncatedReply);
-  }
-  return out;
+  return Invoke<ham::AddLinkResult>(Method::kAddLink, ctx, from, to);
 }
 
 Result<ham::AddLinkResult> RemoteHam::CopyLink(Context ctx,
@@ -912,26 +731,12 @@ Result<ham::AddLinkResult> RemoteHam::CopyLink(Context ctx,
                                                ham::Time time,
                                                bool copy_source,
                                                const ham::LinkPt& other) {
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, link);
-  PutVarint64(&args, time);
-  PutBool(&args, copy_source);
-  EncodeLinkPtTo(other, &args);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply, Call(Method::kCopyLink, args));
-  std::string_view in = reply;
-  ham::AddLinkResult out;
-  if (!GetVarint64(&in, &out.link) || !GetVarint64(&in, &out.creation_time)) {
-    return Status::Corruption(kTruncatedReply);
-  }
-  return out;
+  return Invoke<ham::AddLinkResult>(Method::kCopyLink, ctx, link, time,
+                                    copy_source, other);
 }
 
 Status RemoteHam::DeleteLink(Context ctx, ham::LinkIndex link) {
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, link);
-  return Call(Method::kDeleteLink, args).status();
+  return Invoke<void>(Method::kDeleteLink, ctx, link);
 }
 
 Result<ham::SubGraph> RemoteHam::LinearizeGraph(
@@ -945,20 +750,8 @@ Result<ham::SubGraph> RemoteHam::LinearizeGraph(
       })) {
     return std::move(*routed);
   }
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, start);
-  PutVarint64(&args, time);
-  PutLengthPrefixed(&args, node_pred);
-  PutLengthPrefixed(&args, link_pred);
-  EncodeIndexVecTo(node_attrs, &args);
-  EncodeIndexVecTo(link_attrs, &args);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
-                           Call(Method::kLinearizeGraph, args));
-  std::string_view in = reply;
-  ham::SubGraph out;
-  if (!DecodeSubGraphFrom(&in, &out)) return Status::Corruption(kTruncatedReply);
-  return out;
+  return Invoke<ham::SubGraph>(Method::kLinearizeGraph, ctx, start, time,
+                               node_pred, link_pred, node_attrs, link_attrs);
 }
 
 Result<ham::SubGraph> RemoteHam::GetGraphQuery(
@@ -972,19 +765,8 @@ Result<ham::SubGraph> RemoteHam::GetGraphQuery(
       })) {
     return std::move(*routed);
   }
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, time);
-  PutLengthPrefixed(&args, node_pred);
-  PutLengthPrefixed(&args, link_pred);
-  EncodeIndexVecTo(node_attrs, &args);
-  EncodeIndexVecTo(link_attrs, &args);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
-                           Call(Method::kGetGraphQuery, args));
-  std::string_view in = reply;
-  ham::SubGraph out;
-  if (!DecodeSubGraphFrom(&in, &out)) return Status::Corruption(kTruncatedReply);
-  return out;
+  return Invoke<ham::SubGraph>(Method::kGetGraphQuery, ctx, time, node_pred,
+                               link_pred, node_attrs, link_attrs);
 }
 
 Result<ham::QueryExplain> RemoteHam::GetGraphQueryExplained(
@@ -993,25 +775,9 @@ Result<ham::QueryExplain> RemoteHam::GetGraphQueryExplained(
     const std::vector<ham::AttributeIndex>& node_attrs,
     const std::vector<ham::AttributeIndex>& link_attrs,
     const ham::QueryOptions& options) {
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, time);
-  PutLengthPrefixed(&args, node_pred);
-  PutLengthPrefixed(&args, link_pred);
-  EncodeIndexVecTo(node_attrs, &args);
-  EncodeIndexVecTo(link_attrs, &args);
-  uint8_t flags = 0;
-  if (options.force_scan) flags |= 1;
-  if (options.verify) flags |= 2;
-  args.push_back(static_cast<char>(flags));
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
-                           Call(Method::kGetGraphQueryExplained, args));
-  std::string_view in = reply;
-  ham::QueryExplain out;
-  if (!DecodeQueryExplainFrom(&in, &out)) {
-    return Status::Corruption(kTruncatedReply);
-  }
-  return out;
+  return Invoke<ham::QueryExplain>(Method::kGetGraphQueryExplained, ctx, time,
+                                   node_pred, link_pred, node_attrs,
+                                   link_attrs, options);
 }
 
 Result<ham::OpenNodeResult> RemoteHam::OpenNode(
@@ -1022,18 +788,8 @@ Result<ham::OpenNodeResult> RemoteHam::OpenNode(
       })) {
     return std::move(*routed);
   }
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, node);
-  PutVarint64(&args, time);
-  EncodeIndexVecTo(attrs, &args);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply, Call(Method::kOpenNode, args));
-  std::string_view in = reply;
-  ham::OpenNodeResult out;
-  if (!DecodeOpenNodeResultFrom(&in, &out)) {
-    return Status::Corruption(kTruncatedReply);
-  }
-  return out;
+  return Invoke<ham::OpenNodeResult>(Method::kOpenNode, ctx, node, time,
+                                     attrs);
 }
 
 Status RemoteHam::ModifyNode(
@@ -1041,36 +797,18 @@ Status RemoteHam::ModifyNode(
     const std::string& contents,
     const std::vector<ham::AttachmentUpdate>& attachments,
     const std::string& explanation) {
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, node);
-  PutVarint64(&args, expected_time);
-  PutLengthPrefixed(&args, contents);
-  EncodeAttachmentUpdatesTo(attachments, &args);
-  PutLengthPrefixed(&args, explanation);
-  return Call(Method::kModifyNode, args).status();
+  return Invoke<void>(Method::kModifyNode, ctx, node, expected_time, contents,
+                      attachments, explanation);
 }
 
 Result<ham::Time> RemoteHam::GetNodeTimeStamp(Context ctx,
                                               ham::NodeIndex node) {
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, node);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
-                           Call(Method::kGetNodeTimeStamp, args));
-  std::string_view in = reply;
-  ham::Time time = 0;
-  if (!GetVarint64(&in, &time)) return Status::Corruption(kTruncatedReply);
-  return time;
+  return Invoke<ham::Time>(Method::kGetNodeTimeStamp, ctx, node);
 }
 
 Status RemoteHam::ChangeNodeProtection(Context ctx, ham::NodeIndex node,
                                        uint32_t protections) {
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, node);
-  PutVarint32(&args, protections);
-  return Call(Method::kChangeNodeProtection, args).status();
+  return Invoke<void>(Method::kChangeNodeProtection, ctx, node, protections);
 }
 
 Result<ham::NodeVersions> RemoteHam::GetNodeVersions(Context ctx,
@@ -1080,34 +818,13 @@ Result<ham::NodeVersions> RemoteHam::GetNodeVersions(Context ctx,
       })) {
     return std::move(*routed);
   }
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, node);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
-                           Call(Method::kGetNodeVersions, args));
-  std::string_view in = reply;
-  ham::NodeVersions out;
-  if (!DecodeNodeVersionsFrom(&in, &out)) {
-    return Status::Corruption(kTruncatedReply);
-  }
-  return out;
+  return Invoke<ham::NodeVersions>(Method::kGetNodeVersions, ctx, node);
 }
 
 Result<std::vector<delta::Difference>> RemoteHam::GetNodeDifferences(
     Context ctx, ham::NodeIndex node, ham::Time t1, ham::Time t2) {
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, node);
-  PutVarint64(&args, t1);
-  PutVarint64(&args, t2);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
-                           Call(Method::kGetNodeDifferences, args));
-  std::string_view in = reply;
-  std::vector<delta::Difference> out;
-  if (!DecodeDifferencesFrom(&in, &out)) {
-    return Status::Corruption(kTruncatedReply);
-  }
-  return out;
+  return Invoke<std::vector<delta::Difference>>(Method::kGetNodeDifferences,
+                                                ctx, node, t1, t2);
 }
 
 Result<ham::LinkEndResult> RemoteHam::GetToNode(Context ctx,
@@ -1118,17 +835,7 @@ Result<ham::LinkEndResult> RemoteHam::GetToNode(Context ctx,
       })) {
     return std::move(*routed);
   }
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, link);
-  PutVarint64(&args, time);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply, Call(Method::kGetToNode, args));
-  std::string_view in = reply;
-  ham::LinkEndResult out;
-  if (!GetVarint64(&in, &out.node) || !GetVarint64(&in, &out.version_time)) {
-    return Status::Corruption(kTruncatedReply);
-  }
-  return out;
+  return Invoke<ham::LinkEndResult>(Method::kGetToNode, ctx, link, time);
 }
 
 Result<ham::LinkEndResult> RemoteHam::GetFromNode(Context ctx,
@@ -1139,18 +846,7 @@ Result<ham::LinkEndResult> RemoteHam::GetFromNode(Context ctx,
       })) {
     return std::move(*routed);
   }
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, link);
-  PutVarint64(&args, time);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
-                           Call(Method::kGetFromNode, args));
-  std::string_view in = reply;
-  ham::LinkEndResult out;
-  if (!GetVarint64(&in, &out.node) || !GetVarint64(&in, &out.version_time)) {
-    return Status::Corruption(kTruncatedReply);
-  }
-  return out;
+  return Invoke<ham::LinkEndResult>(Method::kGetFromNode, ctx, link, time);
 }
 
 Result<std::vector<ham::AttributeEntry>> RemoteHam::GetAttributes(
@@ -1160,66 +856,30 @@ Result<std::vector<ham::AttributeEntry>> RemoteHam::GetAttributes(
       })) {
     return std::move(*routed);
   }
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, time);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
-                           Call(Method::kGetAttributes, args));
-  std::string_view in = reply;
-  std::vector<ham::AttributeEntry> out;
-  if (!DecodeAttributeEntriesFrom(&in, &out)) {
-    return Status::Corruption(kTruncatedReply);
-  }
-  return out;
+  return Invoke<std::vector<ham::AttributeEntry>>(Method::kGetAttributes, ctx,
+                                                  time);
 }
 
 Result<std::vector<std::string>> RemoteHam::GetAttributeValues(
     Context ctx, ham::AttributeIndex attr, ham::Time time) {
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, attr);
-  PutVarint64(&args, time);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
-                           Call(Method::kGetAttributeValues, args));
-  std::string_view in = reply;
-  std::vector<std::string> out;
-  if (!DecodeStringVecFrom(&in, &out)) {
-    return Status::Corruption(kTruncatedReply);
-  }
-  return out;
+  return Invoke<std::vector<std::string>>(Method::kGetAttributeValues, ctx,
+                                          attr, time);
 }
 
 Result<ham::AttributeIndex> RemoteHam::GetAttributeIndex(
     Context ctx, const std::string& name) {
-  std::string args;
-  PutContext(&args, ctx);
-  PutLengthPrefixed(&args, name);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
-                           Call(Method::kGetAttributeIndex, args));
-  std::string_view in = reply;
-  ham::AttributeIndex attr = 0;
-  if (!GetVarint64(&in, &attr)) return Status::Corruption(kTruncatedReply);
-  return attr;
+  return Invoke<ham::AttributeIndex>(Method::kGetAttributeIndex, ctx, name);
 }
 
 Status RemoteHam::SetNodeAttributeValue(Context ctx, ham::NodeIndex node,
                                         ham::AttributeIndex attr,
                                         const std::string& value) {
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, node);
-  PutVarint64(&args, attr);
-  PutLengthPrefixed(&args, value);
-  return Call(Method::kSetNodeAttributeValue, args).status();
+  return Invoke<void>(Method::kSetNodeAttributeValue, ctx, node, attr, value);
 }
 
 Status RemoteHam::DeleteNodeAttribute(Context ctx, ham::NodeIndex node,
                                       ham::AttributeIndex attr) {
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, node);
-  PutVarint64(&args, attr);
-  return Call(Method::kDeleteNodeAttribute, args).status();
+  return Invoke<void>(Method::kDeleteNodeAttribute, ctx, node, attr);
 }
 
 Result<std::string> RemoteHam::GetNodeAttributeValue(Context ctx,
@@ -1231,19 +891,8 @@ Result<std::string> RemoteHam::GetNodeAttributeValue(Context ctx,
       })) {
     return std::move(*routed);
   }
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, node);
-  PutVarint64(&args, attr);
-  PutVarint64(&args, time);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
-                           Call(Method::kGetNodeAttributeValue, args));
-  std::string_view in = reply;
-  std::string_view value;
-  if (!GetLengthPrefixed(&in, &value)) {
-    return Status::Corruption(kTruncatedReply);
-  }
-  return std::string(value);
+  return Invoke<std::string>(Method::kGetNodeAttributeValue, ctx, node, attr,
+                             time);
 }
 
 Result<std::vector<ham::AttributeValueEntry>> RemoteHam::GetNodeAttributes(
@@ -1253,251 +902,103 @@ Result<std::vector<ham::AttributeValueEntry>> RemoteHam::GetNodeAttributes(
       })) {
     return std::move(*routed);
   }
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, node);
-  PutVarint64(&args, time);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
-                           Call(Method::kGetNodeAttributes, args));
-  std::string_view in = reply;
-  std::vector<ham::AttributeValueEntry> out;
-  if (!DecodeAttributeValueEntriesFrom(&in, &out)) {
-    return Status::Corruption(kTruncatedReply);
-  }
-  return out;
+  return Invoke<std::vector<ham::AttributeValueEntry>>(
+      Method::kGetNodeAttributes, ctx, node, time);
 }
 
 Status RemoteHam::SetLinkAttributeValue(Context ctx, ham::LinkIndex link,
                                         ham::AttributeIndex attr,
                                         const std::string& value) {
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, link);
-  PutVarint64(&args, attr);
-  PutLengthPrefixed(&args, value);
-  return Call(Method::kSetLinkAttributeValue, args).status();
+  return Invoke<void>(Method::kSetLinkAttributeValue, ctx, link, attr, value);
 }
 
 Status RemoteHam::DeleteLinkAttribute(Context ctx, ham::LinkIndex link,
                                       ham::AttributeIndex attr) {
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, link);
-  PutVarint64(&args, attr);
-  return Call(Method::kDeleteLinkAttribute, args).status();
+  return Invoke<void>(Method::kDeleteLinkAttribute, ctx, link, attr);
 }
 
 Result<std::string> RemoteHam::GetLinkAttributeValue(Context ctx,
                                                      ham::LinkIndex link,
                                                      ham::AttributeIndex attr,
                                                      ham::Time time) {
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, link);
-  PutVarint64(&args, attr);
-  PutVarint64(&args, time);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
-                           Call(Method::kGetLinkAttributeValue, args));
-  std::string_view in = reply;
-  std::string_view value;
-  if (!GetLengthPrefixed(&in, &value)) {
-    return Status::Corruption(kTruncatedReply);
-  }
-  return std::string(value);
+  return Invoke<std::string>(Method::kGetLinkAttributeValue, ctx, link, attr,
+                             time);
 }
 
 Result<std::vector<ham::AttributeValueEntry>> RemoteHam::GetLinkAttributes(
     Context ctx, ham::LinkIndex link, ham::Time time) {
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, link);
-  PutVarint64(&args, time);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
-                           Call(Method::kGetLinkAttributes, args));
-  std::string_view in = reply;
-  std::vector<ham::AttributeValueEntry> out;
-  if (!DecodeAttributeValueEntriesFrom(&in, &out)) {
-    return Status::Corruption(kTruncatedReply);
-  }
-  return out;
+  return Invoke<std::vector<ham::AttributeValueEntry>>(
+      Method::kGetLinkAttributes, ctx, link, time);
 }
 
 Status RemoteHam::SetGraphDemonValue(Context ctx, ham::Event event,
                                      const std::string& demon) {
-  std::string args;
-  PutContext(&args, ctx);
-  args.push_back(static_cast<char>(event));
-  PutLengthPrefixed(&args, demon);
-  return Call(Method::kSetGraphDemonValue, args).status();
+  return Invoke<void>(Method::kSetGraphDemonValue, ctx, event, demon);
 }
 
 Result<std::vector<ham::DemonEntry>> RemoteHam::GetGraphDemons(
     Context ctx, ham::Time time) {
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, time);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
-                           Call(Method::kGetGraphDemons, args));
-  std::string_view in = reply;
-  std::vector<ham::DemonEntry> out;
-  if (!DecodeDemonEntriesFrom(&in, &out)) {
-    return Status::Corruption(kTruncatedReply);
-  }
-  return out;
+  return Invoke<std::vector<ham::DemonEntry>>(Method::kGetGraphDemons, ctx,
+                                              time);
 }
 
 Status RemoteHam::SetNodeDemon(Context ctx, ham::NodeIndex node,
                                ham::Event event, const std::string& demon) {
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, node);
-  args.push_back(static_cast<char>(event));
-  PutLengthPrefixed(&args, demon);
-  return Call(Method::kSetNodeDemon, args).status();
+  return Invoke<void>(Method::kSetNodeDemon, ctx, node, event, demon);
 }
 
 Result<std::vector<ham::DemonEntry>> RemoteHam::GetNodeDemons(
     Context ctx, ham::NodeIndex node, ham::Time time) {
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, node);
-  PutVarint64(&args, time);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
-                           Call(Method::kGetNodeDemons, args));
-  std::string_view in = reply;
-  std::vector<ham::DemonEntry> out;
-  if (!DecodeDemonEntriesFrom(&in, &out)) {
-    return Status::Corruption(kTruncatedReply);
-  }
-  return out;
+  return Invoke<std::vector<ham::DemonEntry>>(Method::kGetNodeDemons, ctx,
+                                              node, time);
 }
 
 Result<ham::ContextInfo> RemoteHam::CreateContext(Context ctx,
                                                   const std::string& name) {
-  std::string args;
-  PutContext(&args, ctx);
-  PutLengthPrefixed(&args, name);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
-                           Call(Method::kCreateContext, args));
-  std::string_view in = reply;
-  ham::ContextInfo out;
-  std::string_view out_name;
-  if (!GetVarint64(&in, &out.thread) || !GetLengthPrefixed(&in, &out_name) ||
-      !GetVarint64(&in, &out.branched_at)) {
-    return Status::Corruption(kTruncatedReply);
-  }
-  out.name.assign(out_name);
-  return out;
+  return Invoke<ham::ContextInfo>(Method::kCreateContext, ctx, name);
 }
 
 Result<Context> RemoteHam::OpenContext(Context ctx, ham::ThreadId thread) {
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, thread);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
-                           Call(Method::kOpenContext, args));
-  std::string_view in = reply;
-  Context out;
-  if (!GetVarint64(&in, &out.session)) {
-    return Status::Corruption(kTruncatedReply);
-  }
-  return out;
+  return Invoke<Context>(Method::kOpenContext, ctx, thread);
 }
 
 Status RemoteHam::MergeContext(Context ctx, ham::ThreadId source, bool force) {
-  std::string args;
-  PutContext(&args, ctx);
-  PutVarint64(&args, source);
-  PutBool(&args, force);
-  return Call(Method::kMergeContext, args).status();
+  return Invoke<void>(Method::kMergeContext, ctx, source, force);
 }
 
 Result<std::vector<ham::ContextInfo>> RemoteHam::ListContexts(Context ctx) {
-  std::string args;
-  PutContext(&args, ctx);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
-                           Call(Method::kListContexts, args));
-  std::string_view in = reply;
-  std::vector<ham::ContextInfo> out;
-  if (!DecodeContextInfosFrom(&in, &out)) {
-    return Status::Corruption(kTruncatedReply);
-  }
-  return out;
+  return Invoke<std::vector<ham::ContextInfo>>(Method::kListContexts, ctx);
 }
 
 Status RemoteHam::Checkpoint(Context ctx) {
-  std::string args;
-  PutContext(&args, ctx);
-  return Call(Method::kCheckpoint, args).status();
+  return Invoke<void>(Method::kCheckpoint, ctx);
 }
 
 Result<ham::GraphStats> RemoteHam::GetStats(Context ctx) {
-  std::string args;
-  PutContext(&args, ctx);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply, Call(Method::kGetStats, args));
-  std::string_view in = reply;
-  ham::GraphStats out;
-  if (!DecodeStatsFrom(&in, &out)) return Status::Corruption(kTruncatedReply);
-  return out;
+  return Invoke<ham::GraphStats>(Method::kGetStats, ctx);
 }
 
 Result<ham::ThreadId> RemoteHam::ContextThread(Context ctx) {
-  std::string args;
-  PutContext(&args, ctx);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
-                           Call(Method::kContextThread, args));
-  std::string_view in = reply;
-  ham::ThreadId thread = 0;
-  if (!GetVarint64(&in, &thread)) return Status::Corruption(kTruncatedReply);
-  return thread;
+  return Invoke<ham::ThreadId>(Method::kContextThread, ctx);
 }
 
 Result<ham::ReplFetchResult> RemoteHam::ReplFetch(
     const ham::ReplFetchRequest& request) {
-  std::string args;
-  EncodeReplFetchRequestTo(request, &args);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply, Call(Method::kReplFetch, args));
-  std::string_view in = reply;
-  ham::ReplFetchResult out;
-  if (!DecodeReplFetchResultFrom(&in, &out)) {
-    return Status::Corruption(kTruncatedReply);
-  }
-  return out;
+  return Invoke<ham::ReplFetchResult>(Method::kReplFetch, request);
 }
 
 Result<ham::ReplNodeStatus> RemoteHam::ReplStatus(
     const std::string& directory) {
-  std::string args;
-  PutLengthPrefixed(&args, directory);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply, Call(Method::kReplStatus, args));
-  std::string_view in = reply;
-  ham::ReplNodeStatus out;
-  if (!DecodeReplNodeStatusFrom(&in, &out)) {
-    return Status::Corruption(kTruncatedReply);
-  }
-  return out;
+  return Invoke<ham::ReplNodeStatus>(Method::kReplStatus, directory);
 }
 
 Result<std::vector<std::string>> RemoteHam::ReplListGraphs(
     const std::string& root) {
-  std::string args;
-  PutLengthPrefixed(&args, root);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply,
-                           Call(Method::kReplListGraphs, args));
-  std::string_view in = reply;
-  std::vector<std::string> out;
-  if (!DecodeStringVecFrom(&in, &out)) {
-    return Status::Corruption(kTruncatedReply);
-  }
-  return out;
+  return Invoke<std::vector<std::string>>(Method::kReplListGraphs, root);
 }
 
 Result<uint64_t> RemoteHam::Promote() {
-  NEPTUNE_ASSIGN_OR_RETURN(std::string reply, Call(Method::kReplPromote, ""));
-  std::string_view in = reply;
-  uint64_t term = 0;
-  if (!GetVarint64(&in, &term)) return Status::Corruption(kTruncatedReply);
-  return term;
+  return Invoke<uint64_t>(Method::kReplPromote);
 }
 
 }  // namespace rpc

@@ -16,12 +16,14 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/clock.h"
 #include "common/metrics.h"
 #include "common/random.h"
 #include "ham/ham_interface.h"
+#include "rpc/codec.h"
 #include "rpc/socket.h"
 #include "rpc/wire.h"
 
@@ -34,7 +36,7 @@ class RemoteHam final : public ham::HamInterface {
   // not forever": every call is bounded by the socket deadlines, and
   // transient transport errors are retried with jittered exponential
   // backoff — but a request is only ever *re-sent* for idempotent
-  // methods (IsIdempotent in wire.h), because a mutation whose reply
+  // methods (IsIdempotent in methods.h), because a mutation whose reply
   // was lost may have committed.
   struct Options {
     int connect_timeout_ms = 5000;
@@ -46,11 +48,8 @@ class RemoteHam final : public ham::HamInterface {
     uint64_t retry_seed = 0;       // 0 = derive per client
     // Pipelined mode: requests carry the kRequestIdFlag extension and
     // up to max_inflight of them ride the connection concurrently,
-    // completing out of order. The first request on each connection is
-    // a capability probe (sent alone); a server that answers it with
-    // "unknown method" predates the extension and the client falls
-    // back to one-in-flight sync calls permanently (one extra round
-    // trip, ever — same discipline as the trace-context downgrade).
+    // completing out of order. Otherwise each request has the
+    // connection to itself until its reply arrives.
     bool pipeline = false;
     uint32_t max_inflight = 64;  // clamped to >= 1
     // Follower-read routing: when follower_host is set, Connect also
@@ -118,11 +117,11 @@ class RemoteHam final : public ham::HamInterface {
   Status Ping();
 
   // Issues one request without waiting for the reply. In pipelined
-  // mode (Options::pipeline, against a server that understands request
-  // ids) many of these ride the connection concurrently; otherwise the
-  // call executes synchronously before returning, so the handle is
-  // merely pre-resolved. `args` is the encoded argument block exactly
-  // as the typed sync wrappers build it.
+  // mode (Options::pipeline) many of these ride the connection
+  // concurrently; otherwise the call executes synchronously before
+  // returning, so the handle is merely pre-resolved. `args` is the
+  // encoded argument block exactly as the typed sync wrappers build it
+  // (rpc/codec.h).
   PendingCall CallAsync(Method method, std::string_view args);
 
   // Batch operations (one round trip each; all idempotent). ----------
@@ -138,11 +137,7 @@ class RemoteHam final : public ham::HamInterface {
       ham::Time time, const std::vector<ham::AttributeIndex>& attrs);
 
   // Multi-attribute read across nodes and links.
-  struct AttributeFetch {
-    bool is_link = false;
-    uint64_t entity = 0;  // NodeIndex or LinkIndex per is_link
-    ham::AttributeIndex attr = 0;
-  };
+  using AttributeFetch = rpc::AttributeFetch;
   struct AttributeFetchItem {
     Status status;
     std::string value;  // meaningful only when status.ok()
@@ -328,15 +323,23 @@ class RemoteHam final : public ham::HamInterface {
   // the status header); non-OK replies become that Status.
   //
   // Transport failures (kNetworkError / kUnavailable /
-  // kDeadlineExceeded) kill the cached stream. Reconnecting and
-  // re-sending happens automatically — always when the failure struck
-  // before anything was sent, but after a send only for idempotent
-  // methods — up to options_.max_retries extra attempts with jittered
-  // exponential backoff.
+  // kDeadlineExceeded) kill the connection. Reconnecting and re-sending
+  // happens automatically — always when the failure struck before
+  // anything was sent, but after a send only for idempotent methods —
+  // up to options_.max_retries extra attempts with jittered exponential
+  // backoff. A load-shed refusal is re-sent after its retry-after hint.
   Result<std::string> Call(Method method, std::string_view args);
 
-  // The classic one-in-flight path (also the pipelining fallback).
-  Result<std::string> CallSync(Method method, std::string_view args);
+  // Encodes `args` by their types, calls `method` and decodes the reply
+  // as R; R = void returns just the Status.
+  template <typename R, typename... Args>
+  auto Invoke(Method method, const Args&... args)
+      -> std::conditional_t<std::is_void_v<R>, Status, Result<R>>;
+
+  // One attempt on the one-in-flight connection: send `request`, wait
+  // for the reply frame. `*sent` reports whether bytes may have reached
+  // the server.
+  Result<std::string> SendAndReceive(std::string_view request, bool* sent);
 
   // Re-establishes stream_ (with deadlines armed). Caller holds mu_.
   Status ReconnectLocked();
@@ -344,15 +347,14 @@ class RemoteHam final : public ham::HamInterface {
   // Dials the server through Options::stream_factory (or real TCP).
   Result<std::unique_ptr<FrameStream>> Dial();
 
+  // Marks whether `ctx` has an open transaction (follower routing).
+  void SetInTransaction(ham::Context ctx, bool in_txn);
+
   // Pipelined path ---------------------------------------------------
 
   // One connection generation shared by callers and the receiver
   // thread; replaced wholesale on transport failure.
   struct PipelineConn;
-
-  // Sync call over the pipeline: tagged send, out-of-order completion,
-  // same retry/shed/backoff discipline as CallSync.
-  Result<std::string> CallPipelined(Method method, std::string_view args);
 
   // Registers an id, sends the tagged request, returns the pending
   // state. `*sent` reports whether bytes may have reached the server
@@ -375,14 +377,8 @@ class RemoteHam final : public ham::HamInterface {
 
   std::mutex mu_;  // one request in flight per connection
   std::unique_ptr<FrameStream> stream_;  // null between connections
-  Random rng_;  // backoff jitter; guarded by mu_
-  // Cleared the first time the server answers a trace-flagged request
-  // with "unknown method" (a pre-tracing build): later requests are
-  // sent plain, so one old server costs one extra round trip, ever.
-  std::atomic<bool> trace_wire_ok_{true};
-  // Cleared when the pipelining probe meets the same answer; calls
-  // then take the sync path above.
-  std::atomic<bool> pipeline_wire_ok_{true};
+  std::mutex rng_mu_;
+  Random rng_;  // backoff jitter; guarded by rng_mu_
   std::atomic<uint64_t> next_id_override_{0};
 
   // Follower-read routing ---------------------------------------------

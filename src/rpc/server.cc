@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -25,17 +24,11 @@ namespace {
 using ham::Context;
 
 // Per-method server span names ("rpc.server.openNode"), pre-interned
-// for all 256 method bytes so the per-request path never takes the
-// tracer lock.
+// so the per-request path never takes the tracer lock.
 uint32_t ServerSpanNameId(Method method) {
-  static std::array<uint32_t, 256>* names = [] {
-    auto* table = new std::array<uint32_t, 256>();
-    for (int i = 0; i < 256; ++i) {
-      (*table)[i] = Tracer::Instance().InternName(
-          std::string("rpc.server.") + MethodName(static_cast<Method>(i)));
-    }
-    return table;
-  }();
+  static const auto* names = PerMethod<uint32_t>([](const std::string& name) {
+    return Tracer::Instance().InternName("rpc.server." + name);
+  });
   return (*names)[static_cast<uint8_t>(method)];
 }
 
@@ -72,18 +65,14 @@ struct Server::Request {
   RequestEnvelope envelope;
   std::string rejected;  // the error reply when the envelope was refused
 
-  // Whether running this may wait on another client: for the graph's
-  // writer slot (beginTransaction, every mutation) or for new commits
-  // (the replFetch long-poll). Reads take the graph lock only for the
-  // length of one operation, so they never wait on a client.
+  // Whether running this may wait on another client (rpc/methods.h).
   bool MayWaitOnAnotherClient() const {
     if (!rejected.empty()) return false;
     const std::string_view payload =
         std::string_view(envelope.payload).substr(envelope.offset);
-    if (payload.empty()) return false;
-    const Method method =
-        static_cast<Method>(static_cast<uint8_t>(payload.front()));
-    return !IsIdempotent(method) || method == Method::kReplFetch;
+    return !payload.empty() &&
+           rpc::MayWaitOnAnotherClient(
+               static_cast<Method>(static_cast<uint8_t>(payload.front())));
   }
 };
 
@@ -384,8 +373,7 @@ void Server::ReadConn(const std::shared_ptr<Conn>& conn,
     NEPTUNE_METRIC_COUNT("rpc.bytes_in", payload.size());
     Request request;
     // A refused envelope leaves its error reply in `rejected`.
-    ParseRequestEnvelope(std::move(payload), options_.accept_trace_context,
-                         options_.accept_request_ids, &request.envelope,
+    ParseRequestEnvelope(std::move(payload), &request.envelope,
                          &request.rejected);
     const bool plain = !request.rejected.empty() || !request.envelope.tagged;
     (plain ? in_order : tagged).push_back(std::move(request));

@@ -74,15 +74,6 @@ class Server {
     // sessions closed (aborting any open transaction) and the socket
     // dropped. 0 disables reaping.
     int idle_timeout_ms = 0;
-    // Accept the kTraceContextFlag request extension (common/trace.h).
-    // false makes this server answer flagged requests exactly like a
-    // pre-tracing build ("unknown method"), which tests use to prove
-    // the client's downgrade path works against old servers.
-    bool accept_trace_context = true;
-    // Accept the kRequestIdFlag request extension (pipelining). false
-    // emulates a pre-pipelining server the same way, proving a
-    // pipelined client degrades to one request in flight.
-    bool accept_request_ids = true;
     // Threads serving connections (accept, read, execute, reply).
     // Values < 1 are clamped to 1.
     int worker_threads = 4;

@@ -8,113 +8,6 @@
 namespace neptune {
 namespace rpc {
 
-const char* MethodName(Method method) {
-  switch (method) {
-    case Method::kCreateGraph: return "createGraph";
-    case Method::kDestroyGraph: return "destroyGraph";
-    case Method::kOpenGraph: return "openGraph";
-    case Method::kCloseGraph: return "closeGraph";
-    case Method::kBeginTransaction: return "beginTransaction";
-    case Method::kCommitTransaction: return "commitTransaction";
-    case Method::kAbortTransaction: return "abortTransaction";
-    case Method::kAddNode: return "addNode";
-    case Method::kDeleteNode: return "deleteNode";
-    case Method::kAddLink: return "addLink";
-    case Method::kCopyLink: return "copyLink";
-    case Method::kDeleteLink: return "deleteLink";
-    case Method::kLinearizeGraph: return "linearizeGraph";
-    case Method::kGetGraphQuery: return "getGraphQuery";
-    case Method::kOpenNode: return "openNode";
-    case Method::kModifyNode: return "modifyNode";
-    case Method::kGetNodeTimeStamp: return "getNodeTimeStamp";
-    case Method::kChangeNodeProtection: return "changeNodeProtection";
-    case Method::kGetNodeVersions: return "getNodeVersions";
-    case Method::kGetNodeDifferences: return "getNodeDifferences";
-    case Method::kGetToNode: return "getToNode";
-    case Method::kGetFromNode: return "getFromNode";
-    case Method::kGetAttributes: return "getAttributes";
-    case Method::kGetAttributeValues: return "getAttributeValues";
-    case Method::kGetAttributeIndex: return "getAttributeIndex";
-    case Method::kSetNodeAttributeValue: return "setNodeAttributeValue";
-    case Method::kDeleteNodeAttribute: return "deleteNodeAttribute";
-    case Method::kGetNodeAttributeValue: return "getNodeAttributeValue";
-    case Method::kGetNodeAttributes: return "getNodeAttributes";
-    case Method::kSetLinkAttributeValue: return "setLinkAttributeValue";
-    case Method::kDeleteLinkAttribute: return "deleteLinkAttribute";
-    case Method::kGetLinkAttributeValue: return "getLinkAttributeValue";
-    case Method::kGetLinkAttributes: return "getLinkAttributes";
-    case Method::kSetGraphDemonValue: return "setGraphDemonValue";
-    case Method::kGetGraphDemons: return "getGraphDemons";
-    case Method::kSetNodeDemon: return "setNodeDemon";
-    case Method::kGetNodeDemons: return "getNodeDemons";
-    case Method::kCreateContext: return "createContext";
-    case Method::kOpenContext: return "openContext";
-    case Method::kMergeContext: return "mergeContext";
-    case Method::kListContexts: return "listContexts";
-    case Method::kCheckpoint: return "checkpoint";
-    case Method::kGetStats: return "getStats";
-    case Method::kContextThread: return "contextThread";
-    case Method::kPing: return "ping";
-    case Method::kGetServerStatistics: return "getServerStatistics";
-    case Method::kGetRecentTraces: return "getRecentTraces";
-    case Method::kGetSlowOps: return "getSlowOps";
-    case Method::kOpenNodes: return "openNodes";
-    case Method::kGetAttributeValuesBatch: return "getAttributeValuesBatch";
-    case Method::kLinearizeAndFetch: return "linearizeAndFetch";
-    case Method::kGetGraphQueryExplained: return "getGraphQueryExplained";
-    case Method::kReplFetch: return "replFetch";
-    case Method::kReplStatus: return "replStatus";
-    case Method::kReplListGraphs: return "replListGraphs";
-    case Method::kReplPromote: return "replPromote";
-    case Method::kGetServerStatisticsDelta: return "getServerStatisticsDelta";
-  }
-  return "unknown";
-}
-
-bool IsIdempotent(Method method) {
-  switch (method) {
-    case Method::kPing:
-    case Method::kGetServerStatistics:
-    case Method::kGetServerStatisticsDelta:
-    case Method::kGetRecentTraces:
-    case Method::kGetSlowOps:
-    case Method::kLinearizeGraph:
-    case Method::kGetGraphQuery:
-    case Method::kOpenNode:
-    case Method::kGetNodeTimeStamp:
-    case Method::kGetNodeVersions:
-    case Method::kGetNodeDifferences:
-    case Method::kGetToNode:
-    case Method::kGetFromNode:
-    case Method::kGetAttributes:
-    case Method::kGetAttributeValues:
-    case Method::kGetAttributeIndex:
-    case Method::kGetNodeAttributeValue:
-    case Method::kGetNodeAttributes:
-    case Method::kGetLinkAttributeValue:
-    case Method::kGetLinkAttributes:
-    case Method::kGetGraphDemons:
-    case Method::kGetNodeDemons:
-    case Method::kListContexts:
-    case Method::kGetStats:
-    case Method::kContextThread:
-    case Method::kOpenNodes:
-    case Method::kGetAttributeValuesBatch:
-    case Method::kLinearizeAndFetch:
-    case Method::kGetGraphQueryExplained:
-    // Replication reads: a fetch is a pure read of committed WAL bytes
-    // (the ack it carries is monotonic and safe to repeat), so a
-    // follower may re-send after a transport failure. Promote is a
-    // mutation and is excluded.
-    case Method::kReplFetch:
-    case Method::kReplStatus:
-    case Method::kReplListGraphs:
-      return true;
-    default:
-      return false;
-  }
-}
-
 // ------------------------------------------------- trace-context codec
 
 void EncodeTraceContextTo(const TraceContext& ctx, std::string* out) {
@@ -200,7 +93,7 @@ Status FrameDecoder::Feed(std::string_view bytes,
   return Status::OK();
 }
 
-// --------------------------------------------------------------- values
+// --------------------------------------------------------------- status
 
 void EncodeStatusTo(const Status& status, std::string* out) {
   out->push_back(static_cast<char>(status.code()));
@@ -216,537 +109,6 @@ bool DecodeStatusFrom(std::string_view* in, Status* status) {
   if (code > static_cast<uint8_t>(StatusCode::kUnavailable)) return false;
   *status = Status::FromCode(static_cast<StatusCode>(code), message);
   return true;
-}
-
-void EncodeLinkPtTo(const ham::LinkPt& pt, std::string* out) {
-  PutVarint64(out, pt.node);
-  PutVarint64(out, pt.position);
-  PutVarint64(out, pt.time);
-  out->push_back(pt.track_current ? 1 : 0);
-}
-
-bool DecodeLinkPtFrom(std::string_view* in, ham::LinkPt* pt) {
-  if (!GetVarint64(in, &pt->node) || !GetVarint64(in, &pt->position) ||
-      !GetVarint64(in, &pt->time) || in->empty()) {
-    return false;
-  }
-  pt->track_current = in->front() != 0;
-  in->remove_prefix(1);
-  return true;
-}
-
-void EncodeStringVecTo(const std::vector<std::string>& v, std::string* out) {
-  PutVarint64(out, v.size());
-  for (const auto& s : v) PutLengthPrefixed(out, s);
-}
-
-bool DecodeStringVecFrom(std::string_view* in, std::vector<std::string>* v) {
-  uint64_t n = 0;
-  if (!GetVarint64(in, &n)) return false;
-  v->clear();
-  v->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string_view s;
-    if (!GetLengthPrefixed(in, &s)) return false;
-    v->emplace_back(s);
-  }
-  return true;
-}
-
-void EncodeIndexVecTo(const std::vector<uint64_t>& v, std::string* out) {
-  PutVarint64(out, v.size());
-  for (uint64_t x : v) PutVarint64(out, x);
-}
-
-bool DecodeIndexVecFrom(std::string_view* in, std::vector<uint64_t>* v) {
-  uint64_t n = 0;
-  if (!GetVarint64(in, &n)) return false;
-  v->clear();
-  v->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t x = 0;
-    if (!GetVarint64(in, &x)) return false;
-    v->push_back(x);
-  }
-  return true;
-}
-
-namespace {
-
-void EncodeOptionalValues(
-    const std::vector<std::optional<std::string>>& values, std::string* out) {
-  PutVarint64(out, values.size());
-  for (const auto& value : values) {
-    out->push_back(value.has_value() ? 1 : 0);
-    if (value.has_value()) PutLengthPrefixed(out, *value);
-  }
-}
-
-bool DecodeOptionalValues(std::string_view* in,
-                          std::vector<std::optional<std::string>>* values) {
-  uint64_t n = 0;
-  if (!GetVarint64(in, &n)) return false;
-  values->clear();
-  values->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    if (in->empty()) return false;
-    const bool has = in->front() != 0;
-    in->remove_prefix(1);
-    if (has) {
-      std::string_view s;
-      if (!GetLengthPrefixed(in, &s)) return false;
-      values->emplace_back(std::string(s));
-    } else {
-      values->emplace_back(std::nullopt);
-    }
-  }
-  return true;
-}
-
-void EncodeVersionEntries(const std::vector<ham::VersionEntry>& v,
-                          std::string* out) {
-  PutVarint64(out, v.size());
-  for (const auto& e : v) {
-    PutVarint64(out, e.time);
-    PutLengthPrefixed(out, e.explanation);
-  }
-}
-
-bool DecodeVersionEntries(std::string_view* in,
-                          std::vector<ham::VersionEntry>* v) {
-  uint64_t n = 0;
-  if (!GetVarint64(in, &n)) return false;
-  v->clear();
-  v->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    ham::VersionEntry e;
-    std::string_view expl;
-    if (!GetVarint64(in, &e.time) || !GetLengthPrefixed(in, &expl)) {
-      return false;
-    }
-    e.explanation.assign(expl);
-    v->push_back(std::move(e));
-  }
-  return true;
-}
-
-}  // namespace
-
-void EncodeSubGraphTo(const ham::SubGraph& graph, std::string* out) {
-  PutVarint64(out, graph.nodes.size());
-  for (const auto& node : graph.nodes) {
-    PutVarint64(out, node.node);
-    EncodeOptionalValues(node.attribute_values, out);
-  }
-  PutVarint64(out, graph.links.size());
-  for (const auto& link : graph.links) {
-    PutVarint64(out, link.link);
-    PutVarint64(out, link.from);
-    PutVarint64(out, link.to);
-    EncodeOptionalValues(link.attribute_values, out);
-  }
-}
-
-bool DecodeSubGraphFrom(std::string_view* in, ham::SubGraph* graph) {
-  uint64_t n = 0;
-  if (!GetVarint64(in, &n)) return false;
-  graph->nodes.clear();
-  graph->nodes.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    ham::SubGraphNode node;
-    if (!GetVarint64(in, &node.node) ||
-        !DecodeOptionalValues(in, &node.attribute_values)) {
-      return false;
-    }
-    graph->nodes.push_back(std::move(node));
-  }
-  if (!GetVarint64(in, &n)) return false;
-  graph->links.clear();
-  graph->links.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    ham::SubGraphLink link;
-    if (!GetVarint64(in, &link.link) || !GetVarint64(in, &link.from) ||
-        !GetVarint64(in, &link.to) ||
-        !DecodeOptionalValues(in, &link.attribute_values)) {
-      return false;
-    }
-    graph->links.push_back(std::move(link));
-  }
-  return true;
-}
-
-void EncodeQueryExplainTo(const ham::QueryExplain& r, std::string* out) {
-  EncodeSubGraphTo(r.graph, out);
-  const ham::QueryPlan& plan = r.plan;
-  PutVarint64(out, static_cast<uint64_t>(plan.kind));
-  uint8_t flags = 0;
-  if (plan.eligible) flags |= 1;
-  if (plan.rebuilt) flags |= 2;
-  if (plan.verified) flags |= 4;
-  if (plan.verify_match) flags |= 8;
-  out->push_back(static_cast<char>(flags));
-  PutVarint64(out, plan.conjuncts);
-  PutVarint64(out, plan.candidates);
-  PutVarint64(out, plan.residual_evals);
-  PutVarint64(out, plan.nodes_matched);
-  PutVarint64(out, plan.links_matched);
-  PutVarint64(out, plan.applied_deltas);
-}
-
-bool DecodeQueryExplainFrom(std::string_view* in, ham::QueryExplain* r) {
-  if (!DecodeSubGraphFrom(in, &r->graph)) return false;
-  uint64_t kind = 0;
-  if (!GetVarint64(in, &kind) ||
-      kind > static_cast<uint64_t>(ham::QueryPlan::Kind::kIntersect)) {
-    return false;
-  }
-  ham::QueryPlan& plan = r->plan;
-  plan.kind = static_cast<ham::QueryPlan::Kind>(kind);
-  if (in->empty()) return false;
-  const uint8_t flags = static_cast<uint8_t>(in->front());
-  in->remove_prefix(1);
-  plan.eligible = (flags & 1) != 0;
-  plan.rebuilt = (flags & 2) != 0;
-  plan.verified = (flags & 4) != 0;
-  plan.verify_match = (flags & 8) != 0;
-  uint64_t conjuncts = 0;
-  if (!GetVarint64(in, &conjuncts) || !GetVarint64(in, &plan.candidates) ||
-      !GetVarint64(in, &plan.residual_evals) ||
-      !GetVarint64(in, &plan.nodes_matched) ||
-      !GetVarint64(in, &plan.links_matched) ||
-      !GetVarint64(in, &plan.applied_deltas)) {
-    return false;
-  }
-  plan.conjuncts = static_cast<uint32_t>(conjuncts);
-  return true;
-}
-
-void EncodeOpenNodeResultTo(const ham::OpenNodeResult& r, std::string* out) {
-  PutLengthPrefixed(out, r.contents);
-  PutVarint64(out, r.attachments.size());
-  for (const auto& a : r.attachments) {
-    PutVarint64(out, a.link);
-    out->push_back(a.is_source_end ? 1 : 0);
-    PutVarint64(out, a.position);
-    out->push_back(a.track_current ? 1 : 0);
-  }
-  EncodeOptionalValues(r.attribute_values, out);
-  PutVarint64(out, r.current_version_time);
-}
-
-bool DecodeOpenNodeResultFrom(std::string_view* in, ham::OpenNodeResult* r) {
-  std::string_view contents;
-  if (!GetLengthPrefixed(in, &contents)) return false;
-  r->contents.assign(contents);
-  uint64_t n = 0;
-  if (!GetVarint64(in, &n)) return false;
-  r->attachments.clear();
-  r->attachments.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    ham::Attachment a;
-    if (!GetVarint64(in, &a.link) || in->empty()) return false;
-    a.is_source_end = in->front() != 0;
-    in->remove_prefix(1);
-    if (!GetVarint64(in, &a.position) || in->empty()) return false;
-    a.track_current = in->front() != 0;
-    in->remove_prefix(1);
-    r->attachments.push_back(a);
-  }
-  if (!DecodeOptionalValues(in, &r->attribute_values)) return false;
-  return GetVarint64(in, &r->current_version_time);
-}
-
-void EncodeNodeVersionsTo(const ham::NodeVersions& v, std::string* out) {
-  EncodeVersionEntries(v.major, out);
-  EncodeVersionEntries(v.minor, out);
-}
-
-bool DecodeNodeVersionsFrom(std::string_view* in, ham::NodeVersions* v) {
-  return DecodeVersionEntries(in, &v->major) &&
-         DecodeVersionEntries(in, &v->minor);
-}
-
-void EncodeDifferencesTo(const std::vector<delta::Difference>& diffs,
-                         std::string* out) {
-  PutVarint64(out, diffs.size());
-  for (const auto& d : diffs) {
-    out->push_back(static_cast<char>(d.kind));
-    PutVarint64(out, d.old_begin);
-    PutVarint64(out, d.old_end);
-    PutVarint64(out, d.new_begin);
-    PutVarint64(out, d.new_end);
-    EncodeStringVecTo(d.old_lines, out);
-    EncodeStringVecTo(d.new_lines, out);
-  }
-}
-
-bool DecodeDifferencesFrom(std::string_view* in,
-                           std::vector<delta::Difference>* diffs) {
-  uint64_t n = 0;
-  if (!GetVarint64(in, &n)) return false;
-  diffs->clear();
-  diffs->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    delta::Difference d;
-    if (in->empty()) return false;
-    d.kind = static_cast<delta::DifferenceKind>(in->front());
-    in->remove_prefix(1);
-    uint64_t a = 0, b = 0, c = 0, e = 0;
-    if (!GetVarint64(in, &a) || !GetVarint64(in, &b) || !GetVarint64(in, &c) ||
-        !GetVarint64(in, &e) || !DecodeStringVecFrom(in, &d.old_lines) ||
-        !DecodeStringVecFrom(in, &d.new_lines)) {
-      return false;
-    }
-    d.old_begin = a;
-    d.old_end = b;
-    d.new_begin = c;
-    d.new_end = e;
-    diffs->push_back(std::move(d));
-  }
-  return true;
-}
-
-void EncodeAttributeEntriesTo(const std::vector<ham::AttributeEntry>& v,
-                              std::string* out) {
-  PutVarint64(out, v.size());
-  for (const auto& e : v) {
-    PutLengthPrefixed(out, e.name);
-    PutVarint64(out, e.index);
-  }
-}
-
-bool DecodeAttributeEntriesFrom(std::string_view* in,
-                                std::vector<ham::AttributeEntry>* v) {
-  uint64_t n = 0;
-  if (!GetVarint64(in, &n)) return false;
-  v->clear();
-  v->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    ham::AttributeEntry e;
-    std::string_view name;
-    if (!GetLengthPrefixed(in, &name) || !GetVarint64(in, &e.index)) {
-      return false;
-    }
-    e.name.assign(name);
-    v->push_back(std::move(e));
-  }
-  return true;
-}
-
-void EncodeAttributeValueEntriesTo(
-    const std::vector<ham::AttributeValueEntry>& v, std::string* out) {
-  PutVarint64(out, v.size());
-  for (const auto& e : v) {
-    PutLengthPrefixed(out, e.name);
-    PutVarint64(out, e.index);
-    PutLengthPrefixed(out, e.value);
-  }
-}
-
-bool DecodeAttributeValueEntriesFrom(
-    std::string_view* in, std::vector<ham::AttributeValueEntry>* v) {
-  uint64_t n = 0;
-  if (!GetVarint64(in, &n)) return false;
-  v->clear();
-  v->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    ham::AttributeValueEntry e;
-    std::string_view name;
-    std::string_view value;
-    if (!GetLengthPrefixed(in, &name) || !GetVarint64(in, &e.index) ||
-        !GetLengthPrefixed(in, &value)) {
-      return false;
-    }
-    e.name.assign(name);
-    e.value.assign(value);
-    v->push_back(std::move(e));
-  }
-  return true;
-}
-
-void EncodeDemonEntriesTo(const std::vector<ham::DemonEntry>& v,
-                          std::string* out) {
-  PutVarint64(out, v.size());
-  for (const auto& e : v) {
-    out->push_back(static_cast<char>(e.event));
-    PutLengthPrefixed(out, e.demon);
-  }
-}
-
-bool DecodeDemonEntriesFrom(std::string_view* in,
-                            std::vector<ham::DemonEntry>* v) {
-  uint64_t n = 0;
-  if (!GetVarint64(in, &n)) return false;
-  v->clear();
-  v->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    ham::DemonEntry e;
-    if (in->empty()) return false;
-    e.event = static_cast<ham::Event>(in->front());
-    in->remove_prefix(1);
-    std::string_view demon;
-    if (!GetLengthPrefixed(in, &demon)) return false;
-    e.demon.assign(demon);
-    v->push_back(std::move(e));
-  }
-  return true;
-}
-
-void EncodeContextInfosTo(const std::vector<ham::ContextInfo>& v,
-                          std::string* out) {
-  PutVarint64(out, v.size());
-  for (const auto& e : v) {
-    PutVarint64(out, e.thread);
-    PutLengthPrefixed(out, e.name);
-    PutVarint64(out, e.branched_at);
-  }
-}
-
-bool DecodeContextInfosFrom(std::string_view* in,
-                            std::vector<ham::ContextInfo>* v) {
-  uint64_t n = 0;
-  if (!GetVarint64(in, &n)) return false;
-  v->clear();
-  v->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    ham::ContextInfo e;
-    std::string_view name;
-    if (!GetVarint64(in, &e.thread) || !GetLengthPrefixed(in, &name) ||
-        !GetVarint64(in, &e.branched_at)) {
-      return false;
-    }
-    e.name.assign(name);
-    v->push_back(std::move(e));
-  }
-  return true;
-}
-
-void EncodeAttachmentUpdatesTo(const std::vector<ham::AttachmentUpdate>& v,
-                               std::string* out) {
-  PutVarint64(out, v.size());
-  for (const auto& e : v) {
-    PutVarint64(out, e.link);
-    out->push_back(e.is_source_end ? 1 : 0);
-    PutVarint64(out, e.position);
-  }
-}
-
-bool DecodeAttachmentUpdatesFrom(std::string_view* in,
-                                 std::vector<ham::AttachmentUpdate>* v) {
-  uint64_t n = 0;
-  if (!GetVarint64(in, &n)) return false;
-  v->clear();
-  v->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    ham::AttachmentUpdate e;
-    if (!GetVarint64(in, &e.link) || in->empty()) return false;
-    e.is_source_end = in->front() != 0;
-    in->remove_prefix(1);
-    if (!GetVarint64(in, &e.position)) return false;
-    v->push_back(e);
-  }
-  return true;
-}
-
-void EncodeStatsTo(const ham::GraphStats& stats, std::string* out) {
-  PutVarint64(out, stats.node_count);
-  PutVarint64(out, stats.link_count);
-  PutVarint64(out, stats.total_node_records);
-  PutVarint64(out, stats.total_link_records);
-  PutVarint64(out, stats.thread_count);
-  PutVarint64(out, stats.attribute_count);
-  PutVarint64(out, stats.wal_bytes);
-  PutVarint64(out, stats.current_time);
-}
-
-bool DecodeStatsFrom(std::string_view* in, ham::GraphStats* stats) {
-  return GetVarint64(in, &stats->node_count) &&
-         GetVarint64(in, &stats->link_count) &&
-         GetVarint64(in, &stats->total_node_records) &&
-         GetVarint64(in, &stats->total_link_records) &&
-         GetVarint64(in, &stats->thread_count) &&
-         GetVarint64(in, &stats->attribute_count) &&
-         GetVarint64(in, &stats->wal_bytes) &&
-         GetVarint64(in, &stats->current_time);
-}
-
-void EncodeReplFetchRequestTo(const ham::ReplFetchRequest& r,
-                              std::string* out) {
-  PutLengthPrefixed(out, r.directory);
-  PutLengthPrefixed(out, r.follower_id);
-  PutVarint64(out, r.term);
-  PutVarint64(out, r.epoch);
-  PutVarint64(out, r.offset);
-  PutVarint64(out, r.max_bytes);
-  PutVarint64(out, r.wait_ms);
-}
-
-bool DecodeReplFetchRequestFrom(std::string_view* in,
-                                ham::ReplFetchRequest* r) {
-  std::string_view directory, follower_id;
-  if (!GetLengthPrefixed(in, &directory) ||
-      !GetLengthPrefixed(in, &follower_id) || !GetVarint64(in, &r->term) ||
-      !GetVarint64(in, &r->epoch) || !GetVarint64(in, &r->offset) ||
-      !GetVarint64(in, &r->max_bytes) || !GetVarint64(in, &r->wait_ms)) {
-    return false;
-  }
-  r->directory = std::string(directory);
-  r->follower_id = std::string(follower_id);
-  return true;
-}
-
-void EncodeReplFetchResultTo(const ham::ReplFetchResult& r, std::string* out) {
-  out->push_back(static_cast<char>(r.action));
-  PutVarint64(out, r.term);
-  PutVarint64(out, r.epoch);
-  PutVarint64(out, r.offset);
-  out->push_back(r.epoch_end ? '\x01' : '\x00');
-  PutVarint64(out, r.epoch_bytes);
-  PutLengthPrefixed(out, r.meta);
-  PutLengthPrefixed(out, r.payload);
-}
-
-bool DecodeReplFetchResultFrom(std::string_view* in, ham::ReplFetchResult* r) {
-  if (in->empty()) return false;
-  const uint8_t action = static_cast<uint8_t>((*in)[0]);
-  in->remove_prefix(1);
-  if (action >
-      static_cast<uint8_t>(ham::ReplFetchResult::Action::kStaleTerm)) {
-    return false;
-  }
-  r->action = static_cast<ham::ReplFetchResult::Action>(action);
-  if (!GetVarint64(in, &r->term) || !GetVarint64(in, &r->epoch) ||
-      !GetVarint64(in, &r->offset)) {
-    return false;
-  }
-  if (in->empty()) return false;
-  r->epoch_end = (*in)[0] != '\x00';
-  in->remove_prefix(1);
-  std::string_view meta, payload;
-  if (!GetVarint64(in, &r->epoch_bytes) || !GetLengthPrefixed(in, &meta) ||
-      !GetLengthPrefixed(in, &payload)) {
-    return false;
-  }
-  r->meta = std::string(meta);
-  r->payload = std::string(payload);
-  return true;
-}
-
-void EncodeReplNodeStatusTo(const ham::ReplNodeStatus& s, std::string* out) {
-  PutVarint64(out, s.term);
-  out->push_back(s.follower ? '\x01' : '\x00');
-  PutVarint64(out, s.epoch);
-  PutVarint64(out, s.wal_bytes);
-  PutVarint64(out, s.lag_bytes);
-  PutVarint64(out, s.behind_ms);
-}
-
-bool DecodeReplNodeStatusFrom(std::string_view* in, ham::ReplNodeStatus* s) {
-  if (!GetVarint64(in, &s->term) || in->empty()) return false;
-  s->follower = (*in)[0] != '\x00';
-  in->remove_prefix(1);
-  return GetVarint64(in, &s->epoch) && GetVarint64(in, &s->wal_bytes) &&
-         GetVarint64(in, &s->lag_bytes) && GetVarint64(in, &s->behind_ms);
 }
 
 }  // namespace rpc

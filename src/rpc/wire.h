@@ -9,23 +9,23 @@
 //   request := method(u8) | method-specific fields
 //   reply   := status_code(u8) | status_message | method-specific fields
 //
-// One request is answered by exactly one reply, in order, per
-// connection. All integers are varints unless stated; strings are
-// length-prefixed. The codecs below are shared by the server and the
-// client stub so the two cannot drift.
+// A plain request is answered by exactly one reply, in order, per
+// connection; the frame extensions below let requests be traced and
+// answered out of order. Every method is declared once, with its id
+// and name, in the method table (rpc/methods.h); its fields are encoded
+// by the typed codecs in rpc/codec.h, which the server and the client
+// stub share so the two cannot drift.
 
 #ifndef NEPTUNE_RPC_WIRE_H_
 #define NEPTUNE_RPC_WIRE_H_
 
-#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
 #include "common/trace.h"
-#include "delta/text_diff.h"
-#include "ham/ham_interface.h"
-#include "ham/types.h"
+#include "rpc/methods.h"
 
 namespace neptune {
 namespace rpc {
@@ -33,124 +33,30 @@ namespace rpc {
 // Maximum accepted frame payload; guards against garbage lengths.
 constexpr uint32_t kMaxFrameBytes = 64u << 20;
 
-enum class Method : uint8_t {
-  kCreateGraph = 1,
-  kDestroyGraph = 2,
-  kOpenGraph = 3,
-  kCloseGraph = 4,
-  kBeginTransaction = 5,
-  kCommitTransaction = 6,
-  kAbortTransaction = 7,
-  kAddNode = 8,
-  kDeleteNode = 9,
-  kAddLink = 10,
-  kCopyLink = 11,
-  kDeleteLink = 12,
-  kLinearizeGraph = 13,
-  kGetGraphQuery = 14,
-  kOpenNode = 15,
-  kModifyNode = 16,
-  kGetNodeTimeStamp = 17,
-  kChangeNodeProtection = 18,
-  kGetNodeVersions = 19,
-  kGetNodeDifferences = 20,
-  kGetToNode = 21,
-  kGetFromNode = 22,
-  kGetAttributes = 23,
-  kGetAttributeValues = 24,
-  kGetAttributeIndex = 25,
-  kSetNodeAttributeValue = 26,
-  kDeleteNodeAttribute = 27,
-  kGetNodeAttributeValue = 28,
-  kGetNodeAttributes = 29,
-  kSetLinkAttributeValue = 30,
-  kDeleteLinkAttribute = 31,
-  kGetLinkAttributeValue = 32,
-  kGetLinkAttributes = 33,
-  kSetGraphDemonValue = 34,
-  kGetGraphDemons = 35,
-  kSetNodeDemon = 36,
-  kGetNodeDemons = 37,
-  kCreateContext = 38,
-  kOpenContext = 39,
-  kMergeContext = 40,
-  kListContexts = 41,
-  kCheckpoint = 42,
-  kGetStats = 43,
-  kContextThread = 44,
-  kPing = 45,
-  kGetServerStatistics = 46,
-  kGetRecentTraces = 47,
-  kGetSlowOps = 48,
-  // Batch operations: several logical HAM calls answered in one round
-  // trip. Each carries per-item status in the reply, so one bad item
-  // does not fail its siblings.
-  kOpenNodes = 49,
-  kGetAttributeValuesBatch = 50,
-  kLinearizeAndFetch = 51,
-
-  // getGraphQuery with plan reporting (`neptune_ctl query --explain`).
-  kGetGraphQueryExplained = 52,
-
-  // WAL-shipping replication (followers pull; see ham/types.h).
-  kReplFetch = 53,
-  kReplStatus = 54,
-  kReplListGraphs = 55,
-  kReplPromote = 56,
-
-  // Windowed statistics (obs/window.h): `varint window_seconds` in,
-  // `status | varint elapsed_us | MetricsSnapshot delta` out. The
-  // delta covers the newest sampled span of at least the requested
-  // window; elapsed_us = 0 means the server has no sampler running.
-  kGetServerStatisticsDelta = 57,
-};
-
-// Trace-context frame extension. A request whose method byte carries
-// this flag is followed by a trace context (EncodeTraceContextTo)
-// before the method fields, letting the server parent its spans under
-// the client's (common/trace.h). The same trick as the keyframe flag
-// in the version-chain encoding: old peers see an unknown method byte
-// (>= 0x80 is outside the enum) and answer "malformed request: unknown
-// method", which a new client treats as "downgrade and re-send plain".
+// Frame extensions. The method byte's top two bits are flags; every
+// method id stays below both (methods.cc checks this at compile time).
+//
+// A request whose method byte carries kTraceContextFlag is followed by
+// a trace context (EncodeTraceContextTo) before the method fields,
+// letting the server parent its spans under the client's
+// (common/trace.h).
 constexpr uint8_t kTraceContextFlag = 0x80;
 
-// Request-id frame extension, the pipelining handshake. A request
-// whose method byte carries this flag is followed by a varint request
-// id (after the trace context, when both flags are set) and its reply
-// comes back *tagged* — `varint request_id | status | fields` instead
-// of `status | fields` — which frees the server to complete requests
-// on one connection out of order. Same discipline as the trace flag:
-// an old server sees an unknown method byte (0x40 | m is outside the
-// enum for every real method) and answers "malformed request: unknown
-// method", which a new client treats as "this server cannot pipeline —
-// downgrade to one request in flight and re-send plain".
+// A request whose method byte carries kRequestIdFlag is followed by a
+// varint request id (after the trace context, when both flags are set)
+// and its reply comes back *tagged* — `varint request_id | status |
+// fields` instead of `status | fields` — which frees the server to
+// complete requests on one connection out of order (pipelining).
 //
 // Request ids are per-connection, chosen by the client, non-zero, and
 // must be unique among the requests currently in flight; they may wrap
 // and be reused once the earlier reply has arrived.
 constexpr uint8_t kRequestIdFlag = 0x40;
 
-// Methods must stay below kRequestIdFlag so the two flag bits are
-// unambiguous.
-static_assert(static_cast<uint8_t>(Method::kGetServerStatisticsDelta) <
-                  kRequestIdFlag,
-              "method values collide with the request-id flag bit");
-
 // Encodes/decodes the propagated trace context (common/trace.h):
 //   fixed64 trace_id | fixed64 parent_span_id | u8 flags (bit0 sampled)
 void EncodeTraceContextTo(const TraceContext& ctx, std::string* out);
 bool DecodeTraceContextFrom(std::string_view* in, TraceContext* ctx);
-
-// Stable lower-camel-case name for a method ("createGraph", "ping");
-// "unknown" for bytes outside the enum. Used for per-method metrics
-// and diagnostics.
-const char* MethodName(Method method);
-
-// True for methods a client may safely re-send after a transport
-// failure without knowing whether the lost request was executed:
-// ping and every read-only operation. Mutations are excluded — the
-// original may have committed before the connection died.
-bool IsIdempotent(Method method);
 
 // ------------------------------------------------------------- framing
 
@@ -185,88 +91,12 @@ class FrameDecoder {
   std::string buffer_;
 };
 
-// --------------------------------------------------- value (de)coders
-// Shared composite-type codecs. Decoders consume from a string_view
-// and fail with Corruption on malformed input.
+// ---------------------------------------------------------- status
 
 void EncodeStatusTo(const Status& status, std::string* out);
 // Decodes a reply's status header into *status; false on malformed
 // input.
 bool DecodeStatusFrom(std::string_view* in, Status* status);
-
-void EncodeLinkPtTo(const ham::LinkPt& pt, std::string* out);
-bool DecodeLinkPtFrom(std::string_view* in, ham::LinkPt* pt);
-
-void EncodeStringVecTo(const std::vector<std::string>& v, std::string* out);
-bool DecodeStringVecFrom(std::string_view* in, std::vector<std::string>* v);
-
-void EncodeIndexVecTo(const std::vector<uint64_t>& v, std::string* out);
-bool DecodeIndexVecFrom(std::string_view* in, std::vector<uint64_t>* v);
-
-void EncodeSubGraphTo(const ham::SubGraph& graph, std::string* out);
-bool DecodeSubGraphFrom(std::string_view* in, ham::SubGraph* graph);
-
-// getGraphQueryExplained reply: the sub-graph followed by the plan —
-//   varint kind | u8 flags (eligible, rebuilt<<1, verified<<2,
-//   verify_match<<3) | varints conjuncts, candidates, residual_evals,
-//   nodes_matched, links_matched, applied_deltas
-void EncodeQueryExplainTo(const ham::QueryExplain& r, std::string* out);
-bool DecodeQueryExplainFrom(std::string_view* in, ham::QueryExplain* r);
-
-void EncodeOpenNodeResultTo(const ham::OpenNodeResult& r, std::string* out);
-bool DecodeOpenNodeResultFrom(std::string_view* in, ham::OpenNodeResult* r);
-
-void EncodeNodeVersionsTo(const ham::NodeVersions& v, std::string* out);
-bool DecodeNodeVersionsFrom(std::string_view* in, ham::NodeVersions* v);
-
-void EncodeDifferencesTo(const std::vector<delta::Difference>& diffs,
-                         std::string* out);
-bool DecodeDifferencesFrom(std::string_view* in,
-                           std::vector<delta::Difference>* diffs);
-
-void EncodeAttributeEntriesTo(const std::vector<ham::AttributeEntry>& v,
-                              std::string* out);
-bool DecodeAttributeEntriesFrom(std::string_view* in,
-                                std::vector<ham::AttributeEntry>* v);
-
-void EncodeAttributeValueEntriesTo(
-    const std::vector<ham::AttributeValueEntry>& v, std::string* out);
-bool DecodeAttributeValueEntriesFrom(std::string_view* in,
-                                     std::vector<ham::AttributeValueEntry>* v);
-
-void EncodeDemonEntriesTo(const std::vector<ham::DemonEntry>& v,
-                          std::string* out);
-bool DecodeDemonEntriesFrom(std::string_view* in,
-                            std::vector<ham::DemonEntry>* v);
-
-void EncodeContextInfosTo(const std::vector<ham::ContextInfo>& v,
-                          std::string* out);
-bool DecodeContextInfosFrom(std::string_view* in,
-                            std::vector<ham::ContextInfo>* v);
-
-void EncodeAttachmentUpdatesTo(const std::vector<ham::AttachmentUpdate>& v,
-                               std::string* out);
-bool DecodeAttachmentUpdatesFrom(std::string_view* in,
-                                 std::vector<ham::AttachmentUpdate>* v);
-
-void EncodeStatsTo(const ham::GraphStats& stats, std::string* out);
-bool DecodeStatsFrom(std::string_view* in, ham::GraphStats* stats);
-
-// Replication protocol (Method::kReplFetch / kReplStatus):
-//   request := string directory | string follower_id | varints term,
-//              epoch, offset, max_bytes, wait_ms
-//   fetch reply := u8 action | varints term, epoch, offset |
-//                  bool epoch_end | varint epoch_bytes |
-//                  string meta | string payload
-void EncodeReplFetchRequestTo(const ham::ReplFetchRequest& r,
-                              std::string* out);
-bool DecodeReplFetchRequestFrom(std::string_view* in,
-                                ham::ReplFetchRequest* r);
-void EncodeReplFetchResultTo(const ham::ReplFetchResult& r, std::string* out);
-bool DecodeReplFetchResultFrom(std::string_view* in, ham::ReplFetchResult* r);
-
-void EncodeReplNodeStatusTo(const ham::ReplNodeStatus& s, std::string* out);
-bool DecodeReplNodeStatusFrom(std::string_view* in, ham::ReplNodeStatus* s);
 
 }  // namespace rpc
 }  // namespace neptune

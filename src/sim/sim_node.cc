@@ -90,8 +90,7 @@ void SimNode::OnFrame(uint64_t conn_id, std::string payload) {
   if (!up_) return;
   rpc::RequestEnvelope envelope;
   std::string error_reply;
-  if (!rpc::ParseRequestEnvelope(std::move(payload), /*accept_trace_context=*/
-                                 true, /*accept_request_ids=*/true, &envelope,
+  if (!rpc::ParseRequestEnvelope(std::move(payload), &envelope,
                                  &error_reply)) {
     net_->SendToClient(conn_id, std::move(error_reply));
     return;

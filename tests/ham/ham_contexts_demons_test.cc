@@ -126,6 +126,25 @@ TEST_F(HamDemonTest, UnregisteredDemonValueIsIgnored) {
   EXPECT_TRUE(invocations_.empty());
 }
 
+// The demon index packs a node demon's event into four bits, so an
+// event byte past the last Event would alias another node's demon:
+// Event(21) on node n is the openNode demon of node n + 1.
+TEST_F(HamDemonTest, OutOfRangeEventIsRejected) {
+  NodeIndex first = MakeNode("first");
+  NodeIndex second = MakeNode("second");
+  ASSERT_EQ(second, first + 1);
+  Status node_demon =
+      ham_->SetNodeDemon(ctx_, first, static_cast<Event>(21), "record probe");
+  EXPECT_TRUE(node_demon.IsInvalidArgument()) << node_demon.ToString();
+  Status graph_demon = ham_->SetGraphDemonValue(
+      ctx_, static_cast<Event>(static_cast<int>(Event::kCommitTransaction) + 1),
+      "record probe");
+  EXPECT_TRUE(graph_demon.IsInvalidArgument()) << graph_demon.ToString();
+  ASSERT_TRUE(ham_->OpenNode(ctx_, second, 0, {}).ok());
+  ASSERT_TRUE(ham_->AddNode(ctx_, true).ok());
+  EXPECT_TRUE(invocations_.empty());
+}
+
 using HamContextTest = HamTestBase;
 
 TEST_F(HamContextTest, PrivateWorldIsInvisibleToMain) {

@@ -2,8 +2,8 @@
 // out of order via the kRequestIdFlag extension. Covers the raw wire
 // contract (tagged replies echo their id), the RemoteHam pipelined
 // mode (a slow call does not head-of-line-block a fast one), id
-// wraparound, the batch operations' per-item statuses, the downgrade
-// against a pre-pipelining server, and the poll(2) poller fallback.
+// wraparound, the batch operations' per-item statuses, and the poll(2)
+// poller fallback.
 
 #include <gtest/gtest.h>
 
@@ -482,26 +482,6 @@ TEST_F(RpcPipelineTest, LinearizeAndFetchReturnsContents) {
   }
   EXPECT_TRUE(contents.count("root"));
   EXPECT_TRUE(contents.count("leaf"));
-}
-
-// Against a server that predates request ids, the pipelined client
-// downgrades to one-in-flight sync calls — and everything still works,
-// including mutations.
-TEST_F(RpcPipelineTest, DowngradesAgainstPrePipeliningServer) {
-  Server::Options options;
-  options.accept_request_ids = false;
-  StartServer(options);
-  const uint64_t downgrades_before =
-      CounterValue("rpc.client.pipeline_downgrades");
-  ConnectPipelined();
-  EXPECT_GE(CounterValue("rpc.client.pipeline_downgrades"),
-            downgrades_before + 1);
-  // The fixture already created a graph and opened it (mutations
-  // through the downgraded path); prove reads work too.
-  auto added = client_->AddNode(ctx_, true);
-  ASSERT_TRUE(added.ok()) << added.status().ToString();
-  auto opened = client_->OpenNode(ctx_, added->node, 0, {});
-  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
 }
 
 // The whole stack works over the poll(2) fallback poller.

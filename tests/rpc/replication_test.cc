@@ -20,6 +20,7 @@
 
 #include "common/metrics.h"
 #include "ham/ham.h"
+#include "rpc/codec.h"
 #include "rpc/remote_ham.h"
 #include "rpc/replicator.h"
 #include "rpc/server.h"
@@ -63,10 +64,10 @@ TEST(ReplicationWireTest, FetchRequestRoundTrip) {
   in.max_bytes = 65536;
   in.wait_ms = 450;
   std::string wire;
-  EncodeReplFetchRequestTo(in, &wire);
+  EncodeArgs(&wire, in);
   std::string_view view = wire;
   ham::ReplFetchRequest out;
-  ASSERT_TRUE(DecodeReplFetchRequestFrom(&view, &out));
+  ASSERT_TRUE(DecodeArgs(&view, &out));
   EXPECT_TRUE(view.empty());
   EXPECT_EQ(out.directory, in.directory);
   EXPECT_EQ(out.follower_id, in.follower_id);
@@ -80,7 +81,7 @@ TEST(ReplicationWireTest, FetchRequestRoundTrip) {
   for (size_t cut = 0; cut < wire.size(); ++cut) {
     std::string_view partial(wire.data(), cut);
     ham::ReplFetchRequest scratch;
-    EXPECT_FALSE(DecodeReplFetchRequestFrom(&partial, &scratch))
+    EXPECT_FALSE(DecodeArgs(&partial, &scratch))
         << "decoded from a " << cut << "-byte prefix";
   }
 }
@@ -99,10 +100,10 @@ TEST(ReplicationWireTest, FetchResultRoundTrip) {
     in.meta = std::string("meta\x00with nul", 13);
     in.payload = std::string(1024, '\xAB');
     std::string wire;
-    EncodeReplFetchResultTo(in, &wire);
+    EncodeArgs(&wire, in);
     std::string_view view = wire;
     ham::ReplFetchResult out;
-    ASSERT_TRUE(DecodeReplFetchResultFrom(&view, &out));
+    ASSERT_TRUE(DecodeArgs(&view, &out));
     EXPECT_TRUE(view.empty());
     EXPECT_EQ(out.action, in.action);
     EXPECT_EQ(out.term, in.term);
@@ -124,10 +125,10 @@ TEST(ReplicationWireTest, NodeStatusRoundTrip) {
   in.lag_bytes = 128;
   in.behind_ms = ~0ull;  // "never caught up" must survive the wire
   std::string wire;
-  EncodeReplNodeStatusTo(in, &wire);
+  EncodeArgs(&wire, in);
   std::string_view view = wire;
   ham::ReplNodeStatus out;
-  ASSERT_TRUE(DecodeReplNodeStatusFrom(&view, &out));
+  ASSERT_TRUE(DecodeArgs(&view, &out));
   EXPECT_TRUE(view.empty());
   EXPECT_EQ(out.term, in.term);
   EXPECT_EQ(out.follower, in.follower);

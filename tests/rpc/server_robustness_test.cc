@@ -91,6 +91,43 @@ TEST_F(ServerRobustnessTest, TruncatedRequestBodyGetsErrorReply) {
   EXPECT_TRUE(status.IsCorruption()) << status.ToString();
 }
 
+// A count is checked against the bytes that follow it before anything
+// is allocated: ten bytes claiming 2^40 attribute indices must not
+// make the server try to reserve them.
+TEST_F(ServerRobustnessTest, HugeDecodedCountGetsErrorReply) {
+  auto stream = FrameStream::Connect("localhost", port_);
+  ASSERT_TRUE(stream.ok());
+  std::string request;
+  request.push_back(static_cast<char>(Method::kOpenNode));
+  request.push_back('\x01');  // session
+  request.push_back('\x02');  // node
+  request.push_back('\x00');  // time
+  PutVarint64(&request, uint64_t{1} << 40);  // attribute count
+  ASSERT_EQ(request.size(), 10u);
+  ASSERT_TRUE((*stream)->SendFrame(request).ok());
+  auto reply = (*stream)->RecvFrame();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  std::string_view in = *reply;
+  Status status;
+  ASSERT_TRUE(DecodeStatusFrom(&in, &status));
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_EQ(status.message().rfind("malformed request", 0), 0u)
+      << status.ToString();
+
+  // The server is still up for everyone else.
+  auto fresh = FrameStream::Connect("localhost", port_);
+  ASSERT_TRUE(fresh.ok());
+  std::string ping;
+  ping.push_back(static_cast<char>(Method::kPing));
+  ASSERT_TRUE((*fresh)->SendFrame(ping).ok());
+  auto pong = (*fresh)->RecvFrame();
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  std::string_view pin = *pong;
+  Status pstatus;
+  ASSERT_TRUE(DecodeStatusFrom(&pin, &pstatus));
+  EXPECT_TRUE(pstatus.ok()) << pstatus.ToString();
+}
+
 TEST_F(ServerRobustnessTest, WireGarbageDropsThatClientOnly) {
   // Client A misbehaves: raw garbage that fails the frame CRC.
   auto bad = FrameStream::Connect("localhost", port_);

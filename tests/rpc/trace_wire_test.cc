@@ -1,11 +1,9 @@
 // The trace-context wire extension: a flagged method byte carries
 // (trace_id, parent_span_id, sampled) ahead of the normal request so
-// the server's spans parent under the client's. Both compatibility
-// directions are covered — an old client against this server (plain
-// requests self-root) and this client against an old server (the
-// flagged request is answered "unknown method" and the client
-// downgrades, permanently, to plain requests) — plus the end-to-end
-// guarantee: one remote versioned read produces one connected trace.
+// the server's spans parent under the client's. Covered: a plain
+// request self-roots on the server, a truncated context is refused,
+// and the end-to-end guarantee — one remote versioned read produces
+// one connected trace.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +12,6 @@
 #include <string>
 
 #include "common/coding.h"
-#include "common/metrics.h"
 #include "common/trace.h"
 #include "ham/ham.h"
 #include "rpc/remote_ham.h"
@@ -31,8 +28,7 @@ class TraceWireTest : public ::testing::Test {
   // constructor applies trace_* to the process-global tracer, so the
   // in-process "client side" of these tests records spans too — which
   // is exactly the deployment shape of neptune_server + neptune_ctl.
-  void StartServer(uint32_t sample_n, uint64_t slow_us,
-                   bool accept_trace_context) {
+  void StartServer(uint32_t sample_n, uint64_t slow_us) {
     dir_ = (std::filesystem::temp_directory_path() /
             ("neptune_trace_" + std::string(::testing::UnitTest::GetInstance()
                                                 ->current_test_info()
@@ -45,9 +41,7 @@ class TraceWireTest : public ::testing::Test {
     options.trace_slow_us = slow_us;
     engine_ = std::make_unique<ham::Ham>(Env::Default(), options);
     Tracer::Instance().ResetForTest();
-    Server::Options server_options;
-    server_options.accept_trace_context = accept_trace_context;
-    server_ = std::make_unique<Server>(engine_.get(), server_options);
+    server_ = std::make_unique<Server>(engine_.get());
     auto port = server_->Start(0);
     ASSERT_TRUE(port.ok()) << port.status().ToString();
     port_ = *port;
@@ -110,7 +104,7 @@ TEST_F(TraceWireTest, ContextCodecRoundTrips) {
 // An old client sends plain method bytes. The server must serve them
 // exactly as before and self-root its trace.
 TEST_F(TraceWireTest, PlainRequestSelfRootsOnServer) {
-  StartServer(/*sample_n=*/1, /*slow_us=*/0, /*accept_trace_context=*/true);
+  StartServer(/*sample_n=*/1, /*slow_us=*/0);
   auto stream = FrameStream::Connect("localhost", port_);
   ASSERT_TRUE(stream.ok());
 
@@ -136,7 +130,7 @@ TEST_F(TraceWireTest, PlainRequestSelfRootsOnServer) {
 // A flagged byte whose trace context is garbage must be refused
 // without executing anything, and the connection must survive.
 TEST_F(TraceWireTest, TruncatedContextIsRejected) {
-  StartServer(1, 0, true);
+  StartServer(1, 0);
   auto stream = FrameStream::Connect("localhost", port_);
   ASSERT_TRUE(stream.ok());
 
@@ -160,47 +154,11 @@ TEST_F(TraceWireTest, TruncatedContextIsRejected) {
   EXPECT_TRUE((*stream)->RecvFrame().ok());
 }
 
-// This client against an "old" server (accept_trace_context=false
-// answers flagged requests exactly like a pre-tracing build): the
-// first flagged call downgrades and is resent plain; every later call
-// goes out plain with no extra round trip.
-TEST_F(TraceWireTest, ClientDowngradesAgainstOldServer) {
-  StartServer(/*sample_n=*/1, /*slow_us=*/0, /*accept_trace_context=*/false);
-  Counter* downgrades =
-      MetricsRegistry::Instance().GetCounter("rpc.client.trace_downgrades");
-  const uint64_t before = downgrades->Value();
-
-  // Connect's liveness ping is already traced, so it is the flagged
-  // call that triggers the one-and-only downgrade.
-  ConnectClient();
-  CreateAndOpenGraph();  // several traced calls, all must succeed
-  auto added = client_->AddNode(ctx_, true);
-  ASSERT_TRUE(added.ok()) << added.status().ToString();
-  ASSERT_TRUE(client_->ModifyNode(ctx_, added->node, added->creation_time,
-                                  "works against old servers", {}, "")
-                  .ok());
-  auto opened = client_->OpenNode(ctx_, added->node, 0, {});
-  ASSERT_TRUE(opened.ok());
-  EXPECT_EQ(opened->contents, "works against old servers");
-
-  EXPECT_EQ(downgrades->Value(), before + 1)
-      << "one downgrade, then plain requests forever";
-
-  // The server still traced the plain requests, self-rooted.
-  bool saw_server_span = false;
-  for (const auto& trace : Tracer::Instance().RecentTraces()) {
-    for (const auto& span : trace.spans) {
-      if (span.name == "rpc.server.openNode") saw_server_span = true;
-    }
-  }
-  EXPECT_TRUE(saw_server_span);
-}
-
 // The acceptance path: one remote versioned read yields ONE connected
 // trace — client span -> server rpc span -> ham op span -> lock-wait
 // and delta-reconstruction children.
 TEST_F(TraceWireTest, VersionedReadIsOneConnectedTrace) {
-  StartServer(/*sample_n=*/1, /*slow_us=*/0, /*accept_trace_context=*/true);
+  StartServer(/*sample_n=*/1, /*slow_us=*/0);
   ConnectClient();
   CreateAndOpenGraph();
 
@@ -276,7 +234,7 @@ TEST_F(TraceWireTest, VersionedReadIsOneConnectedTrace) {
 TEST_F(TraceWireTest, SlowOpsSurviveSampling) {
   // sample_n so large that (after the first root) nothing is sampled;
   // slow_us=1 so every real operation counts as slow.
-  StartServer(/*sample_n=*/1u << 30, /*slow_us=*/1, /*accept=*/true);
+  StartServer(/*sample_n=*/1u << 30, /*slow_us=*/1);
   ConnectClient();
   CreateAndOpenGraph();
 

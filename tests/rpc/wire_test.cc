@@ -4,6 +4,7 @@
 
 #include "common/coding.h"
 #include "common/random.h"
+#include "rpc/codec.h"
 
 namespace neptune {
 namespace rpc {
@@ -114,10 +115,10 @@ TEST(WireValueTest, SubGraphRoundTrip) {
   graph.links.push_back(
       ham::SubGraphLink{3, 7, 9, {std::optional<std::string>("isPartOf")}});
   std::string buf;
-  EncodeSubGraphTo(graph, &buf);
+  EncodeArgs(&buf, graph);
   std::string_view in = buf;
   ham::SubGraph out;
-  ASSERT_TRUE(DecodeSubGraphFrom(&in, &out));
+  ASSERT_TRUE(DecodeArgs(&in, &out));
   EXPECT_TRUE(in.empty());
   ASSERT_EQ(out.nodes.size(), 2u);
   EXPECT_EQ(out.nodes[0].node, 7u);
@@ -137,10 +138,10 @@ TEST(WireValueTest, OpenNodeResultRoundTrip) {
   r.attribute_values = {std::optional<std::string>("x"), std::nullopt};
   r.current_version_time = 99;
   std::string buf;
-  EncodeOpenNodeResultTo(r, &buf);
+  EncodeArgs(&buf, r);
   std::string_view in = buf;
   ham::OpenNodeResult out;
-  ASSERT_TRUE(DecodeOpenNodeResultFrom(&in, &out));
+  ASSERT_TRUE(DecodeArgs(&in, &out));
   EXPECT_EQ(out.contents, r.contents);
   ASSERT_EQ(out.attachments.size(), 2u);
   EXPECT_TRUE(out.attachments[0].is_source_end);
@@ -153,10 +154,10 @@ TEST(WireValueTest, DifferencesRoundTrip) {
   std::vector<delta::Difference> diffs = delta::DiffLines(
       "line a\nline b\nline c\n", "line a\nCHANGED\nline c\nADDED\n");
   std::string buf;
-  EncodeDifferencesTo(diffs, &buf);
+  EncodeArgs(&buf, diffs);
   std::string_view in = buf;
   std::vector<delta::Difference> out;
-  ASSERT_TRUE(DecodeDifferencesFrom(&in, &out));
+  ASSERT_TRUE(DecodeArgs(&in, &out));
   ASSERT_EQ(out.size(), diffs.size());
   for (size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i].kind, diffs[i].kind);
@@ -176,20 +177,20 @@ TEST(WireValueTest, EntryListsRoundTrip) {
   std::vector<ham::ContextInfo> contexts = {{0, "main", 0}, {3, "fork", 55}};
 
   std::string buf;
-  EncodeAttributeEntriesTo(attrs, &buf);
-  EncodeAttributeValueEntriesTo(values, &buf);
-  EncodeDemonEntriesTo(demons, &buf);
-  EncodeContextInfosTo(contexts, &buf);
+  EncodeArgs(&buf, attrs);
+  EncodeArgs(&buf, values);
+  EncodeArgs(&buf, demons);
+  EncodeArgs(&buf, contexts);
 
   std::string_view in = buf;
   std::vector<ham::AttributeEntry> attrs_out;
   std::vector<ham::AttributeValueEntry> values_out;
   std::vector<ham::DemonEntry> demons_out;
   std::vector<ham::ContextInfo> contexts_out;
-  ASSERT_TRUE(DecodeAttributeEntriesFrom(&in, &attrs_out));
-  ASSERT_TRUE(DecodeAttributeValueEntriesFrom(&in, &values_out));
-  ASSERT_TRUE(DecodeDemonEntriesFrom(&in, &demons_out));
-  ASSERT_TRUE(DecodeContextInfosFrom(&in, &contexts_out));
+  ASSERT_TRUE(DecodeArgs(&in, &attrs_out));
+  ASSERT_TRUE(DecodeArgs(&in, &values_out));
+  ASSERT_TRUE(DecodeArgs(&in, &demons_out));
+  ASSERT_TRUE(DecodeArgs(&in, &contexts_out));
   EXPECT_TRUE(in.empty());
   EXPECT_EQ(attrs_out[1].name, "relation");
   EXPECT_EQ(values_out[0].value, "text");
@@ -208,10 +209,10 @@ TEST(WireValueTest, StatsRoundTrip) {
   stats.wal_bytes = 7;
   stats.current_time = 8;
   std::string buf;
-  EncodeStatsTo(stats, &buf);
+  EncodeArgs(&buf, stats);
   std::string_view in = buf;
   ham::GraphStats out;
-  ASSERT_TRUE(DecodeStatsFrom(&in, &out));
+  ASSERT_TRUE(DecodeArgs(&in, &out));
   EXPECT_EQ(out.node_count, 1u);
   EXPECT_EQ(out.current_time, 8u);
 }
@@ -221,11 +222,40 @@ TEST(WireValueTest, DecodersRejectTruncation) {
   graph.nodes.push_back(ham::SubGraphNode{1, {std::optional<std::string>("v")}});
   graph.links.push_back(ham::SubGraphLink{2, 1, 1, {}});
   std::string buf;
-  EncodeSubGraphTo(graph, &buf);
+  EncodeArgs(&buf, graph);
   for (size_t cut = 0; cut + 1 < buf.size(); ++cut) {
     std::string_view in(buf.data(), cut);
     ham::SubGraph out;
-    EXPECT_FALSE(DecodeSubGraphFrom(&in, &out)) << cut;
+    EXPECT_FALSE(DecodeArgs(&in, &out)) << cut;
+  }
+}
+
+TEST(WireValueTest, CountBeyondBytesLeftIsRejected) {
+  std::string buf;
+  PutVarint64(&buf, uint64_t{1} << 40);
+  buf += "abc";
+  std::string_view in = buf;
+  std::vector<uint64_t> out;
+  EXPECT_FALSE(DecodeArgs(&in, &out));
+  EXPECT_EQ(out.capacity(), 0u) << "nothing reserved for a bogus count";
+
+  buf.clear();
+  EncodeArgs(&buf, std::vector<uint64_t>{1, 2, 3});
+  in = buf;
+  ASSERT_TRUE(DecodeArgs(&in, &out));
+  EXPECT_EQ(out, (std::vector<uint64_t>{1, 2, 3}));
+}
+
+TEST(WireValueTest, EventPastTheLastIsRejected) {
+  ham::Event event = ham::Event::kOpenGraph;
+  std::string last(1, static_cast<char>(ham::Event::kCommitTransaction));
+  std::string_view in = last;
+  ASSERT_TRUE(DecodeArgs(&in, &event));
+  EXPECT_EQ(event, ham::Event::kCommitTransaction);
+  for (int byte : {11, 21, 255}) {
+    std::string bad(1, static_cast<char>(byte));
+    in = bad;
+    EXPECT_FALSE(DecodeArgs(&in, &event)) << byte;
   }
 }
 
