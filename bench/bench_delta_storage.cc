@@ -4,8 +4,9 @@
 //
 // Measures, for a node that accumulates versions through small edits:
 //   * bytes stored by the backward-delta representation vs the
-//     full-copy baseline (counter: stored_bytes, ratio)
-//   * version-append cost for both representations
+//     full-copy and forward-delta baselines (counter: stored_bytes,
+//     ratio); the baselines are bench-local (baseline_chain.h)
+//   * version-append cost for backward deltas vs full copies
 //
 // Expected shape: delta storage grows with edit size, not contents
 // size; full-copy grows with contents size per version; delta wins by
@@ -13,17 +14,21 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench/baseline_chain.h"
 #include "bench/bench_util.h"
 #include "delta/version_chain.h"
 
 namespace neptune {
 namespace {
 
+using bench::BaselineChain;
 using delta::ChainMode;
 using delta::VersionChain;
 
-// Args: {versions, contents_size, edit_size}.
-void BM_VersionChainStorage(benchmark::State& state, ChainMode mode) {
+// `Chain` is VersionChain or BaselineChain; `empty` is the chain each
+// iteration starts from. Args: {versions, contents_size, edit_size}.
+template <typename Chain>
+void BM_VersionChainStorage(benchmark::State& state, const Chain& empty) {
   const int versions = static_cast<int>(state.range(0));
   const size_t contents_size = static_cast<size_t>(state.range(1));
   const size_t edit_size = static_cast<size_t>(state.range(2));
@@ -33,7 +38,7 @@ void BM_VersionChainStorage(benchmark::State& state, ChainMode mode) {
   for (auto _ : state) {
     Random rng(42);
     std::string text = rng.NextString(contents_size);
-    VersionChain chain(mode);
+    Chain chain = empty;
     uint64_t t = 0;
     for (int v = 0; v < versions; ++v) {
       bench::RandomEdit(&rng, &text, edit_size);
@@ -61,20 +66,21 @@ void DeltaArgs(benchmark::internal::Benchmark* b) {
 }
 
 BENCHMARK_CAPTURE(BM_VersionChainStorage, backward_delta,
-                  ChainMode::kBackwardDelta)
+                  VersionChain(ChainMode::kBackwardDelta))
     ->Apply(DeltaArgs);
-BENCHMARK_CAPTURE(BM_VersionChainStorage, full_copy, ChainMode::kFullCopy)
+BENCHMARK_CAPTURE(BM_VersionChainStorage, full_copy,
+                  BaselineChain(BaselineChain::Layout::kFullCopy))
     ->Apply(DeltaArgs);
 BENCHMARK_CAPTURE(BM_VersionChainStorage, forward_delta,
-                  ChainMode::kForwardDelta)
+                  BaselineChain(BaselineChain::Layout::kForwardDelta))
     ->Apply(DeltaArgs);
 
 // Append latency for one more version on an existing chain.
-void BM_VersionAppend(benchmark::State& state, ChainMode mode) {
+template <typename Chain>
+void BM_VersionAppend(benchmark::State& state, Chain chain) {
   const size_t contents_size = static_cast<size_t>(state.range(0));
   Random rng(7);
   std::string text = rng.NextString(contents_size);
-  VersionChain chain(mode);
   uint64_t t = 0;
   chain.Append(++t, text, "");
   for (auto _ : state) {
@@ -85,11 +91,13 @@ void BM_VersionAppend(benchmark::State& state, ChainMode mode) {
                           static_cast<int64_t>(contents_size));
 }
 
-BENCHMARK_CAPTURE(BM_VersionAppend, backward_delta, ChainMode::kBackwardDelta)
+BENCHMARK_CAPTURE(BM_VersionAppend, backward_delta,
+                  VersionChain(ChainMode::kBackwardDelta))
     ->Arg(4 << 10)
     ->Arg(64 << 10)
     ->Arg(512 << 10);
-BENCHMARK_CAPTURE(BM_VersionAppend, full_copy, ChainMode::kFullCopy)
+BENCHMARK_CAPTURE(BM_VersionAppend, full_copy,
+                  BaselineChain(BaselineChain::Layout::kFullCopy))
     ->Arg(4 << 10)
     ->Arg(64 << 10)
     ->Arg(512 << 10);

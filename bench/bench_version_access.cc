@@ -2,8 +2,9 @@
 // hypergraph" (paper §3).
 //
 // Measures openNode latency as a function of version depth (how far
-// back from the current version) for the backward-delta and full-copy
-// representations.
+// back from the current version) for the backward-delta representation
+// and the bench-local full-copy and forward-delta baselines
+// (baseline_chain.h).
 //
 // Expected shape: the current version is O(1) for both; with backward
 // deltas, cost grows linearly with depth (each step applies one
@@ -13,6 +14,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench/baseline_chain.h"
 #include "bench/bench_util.h"
 #include "delta/recon_cache.h"
 #include "delta/version_chain.h"
@@ -20,6 +22,7 @@
 namespace neptune {
 namespace {
 
+using bench::BaselineChain;
 using delta::ChainMode;
 using delta::VersionChain;
 
@@ -40,24 +43,39 @@ class ScopedCacheOff {
   size_t saved_;
 };
 
-// Args: {total_versions, depth_from_current}.
-void BM_ChainGetAtDepth(benchmark::State& state, ChainMode mode) {
+// Reads `time` once, untimed, and compares it with `want`: a layout
+// that returned the wrong contents would time nothing worth comparing.
+template <typename Chain>
+bool ReadsBack(benchmark::State& state, const Chain& chain, uint64_t time,
+               const std::string& want) {
+  Result<std::string> got = chain.Get(time);
+  if (got.ok() && *got == want) return true;
+  state.SkipWithError("chain returned the wrong version");
+  return false;
+}
+
+// `Chain` is VersionChain or BaselineChain, passed empty. Args:
+// {total_versions, depth_from_current}.
+template <typename Chain>
+void BM_ChainGetAtDepth(benchmark::State& state, Chain chain) {
   const int versions = static_cast<int>(state.range(0));
   const int depth = static_cast<int>(state.range(1));
   ScopedCacheOff cache_off;
   Random rng(3);
   std::string text = rng.NextString(16 << 10);
-  VersionChain chain(mode);
   std::vector<uint64_t> times;
+  std::vector<std::string> texts;
   uint64_t t = 0;
   for (int v = 0; v < versions; ++v) {
     bench::RandomEdit(&rng, &text, 64);
     chain.Append(++t, text, "");
     times.push_back(t);
+    texts.push_back(text);
   }
-  const uint64_t target = times[times.size() - 1 - depth];
+  const size_t target = times.size() - 1 - depth;
+  if (!ReadsBack(state, chain, times[target], texts[target])) return;
   for (auto _ : state) {
-    auto contents = chain.Get(target);
+    auto contents = chain.Get(times[target]);
     benchmark::DoNotOptimize(contents);
   }
   state.counters["depth"] = depth;
@@ -70,14 +88,16 @@ void DepthArgs(benchmark::internal::Benchmark* b) {
 }
 
 BENCHMARK_CAPTURE(BM_ChainGetAtDepth, backward_delta,
-                  ChainMode::kBackwardDelta)
+                  VersionChain(ChainMode::kBackwardDelta))
     ->Apply(DepthArgs);
-BENCHMARK_CAPTURE(BM_ChainGetAtDepth, full_copy, ChainMode::kFullCopy)
+BENCHMARK_CAPTURE(BM_ChainGetAtDepth, full_copy,
+                  BaselineChain(BaselineChain::Layout::kFullCopy))
     ->Apply(DepthArgs);
 // The ablation that justifies RCS-style backward deltas: with forward
-// (SCCS-style) deltas the CURRENT version is the expensive one.
+// (SCCS-style) deltas every read but the cached newest walks up from
+// the OLDEST version, so recent history, the common read, costs most.
 BENCHMARK_CAPTURE(BM_ChainGetAtDepth, forward_delta,
-                  ChainMode::kForwardDelta)
+                  BaselineChain(BaselineChain::Layout::kForwardDelta))
     ->Apply(DepthArgs);
 
 // Keyframe ablation: reading the OLDEST version of a deep backward
@@ -95,11 +115,16 @@ void BM_ChainGetOldestKeyframeAblation(benchmark::State& state) {
   chain.set_keyframe_interval(interval);
   uint64_t t = 0;
   uint64_t oldest = 0;
+  std::string oldest_text;
   for (int v = 0; v < versions; ++v) {
     bench::RandomEdit(&rng, &text, 64);
     chain.Append(++t, text, "");
-    if (v == 0) oldest = t;
+    if (v == 0) {
+      oldest = t;
+      oldest_text = text;
+    }
   }
+  if (!ReadsBack(state, chain, oldest, oldest_text)) return;
   for (auto _ : state) {
     auto contents = chain.Get(oldest);
     benchmark::DoNotOptimize(contents);
@@ -121,11 +146,16 @@ void BM_ChainGetOldestCached(benchmark::State& state) {
   VersionChain chain(ChainMode::kBackwardDelta);
   uint64_t t = 0;
   uint64_t oldest = 0;
+  std::string oldest_text;
   for (int v = 0; v < versions; ++v) {
     bench::RandomEdit(&rng, &text, 64);
     chain.Append(++t, text, "");
-    if (v == 0) oldest = t;
+    if (v == 0) {
+      oldest = t;
+      oldest_text = text;
+    }
   }
+  if (!ReadsBack(state, chain, oldest, oldest_text)) return;
   delta::ReconstructionCache::Instance().Clear();
   for (auto _ : state) {
     auto contents = chain.Get(oldest);

@@ -15,7 +15,9 @@ namespace delta {
 namespace {
 
 // New-format chains set this bit on the mode byte; legacy blobs
-// (mode byte 0..3) decode unchanged.
+// (mode byte without it) decode unchanged. Counts read from a blob
+// reserve at most one element per remaining input byte, so a corrupt
+// count fails as truncation instead of as a huge allocation.
 constexpr uint8_t kKeyframeFlag = 0x80;
 
 }  // namespace
@@ -39,39 +41,16 @@ Status VersionChain::Append(uint64_t time, std::string_view contents,
     current_.assign(contents);
     return Status::OK();
   }
-  if (mode_ == ChainMode::kForwardDelta) {
-    if (versions_.empty()) {
-      current_.assign(contents);  // the oldest version is the base
-    } else {
-      backward_.push_back(EncodeDelta(/*base=*/tip_, /*target=*/contents));
-      // What a full copy of the new version would have cost vs. the
-      // delta we kept — same storage claim as the backward mode.
-      NEPTUNE_METRIC_COUNT("delta.bytes.raw", contents.size());
-      NEPTUNE_METRIC_COUNT("delta.bytes.stored", backward_.back().size());
-      // Keyframe the new version (index = its position) every K-th.
-      const size_t index = versions_.size();
-      if (keyframe_interval_ > 0 && index % keyframe_interval_ == 0) {
-        keyframes_.push_back(Keyframe{index, std::string(contents)});
-      }
-    }
-    tip_.assign(contents);
-    versions_.push_back(VersionInfo{time, std::string(explanation)});
-    return Status::OK();
-  }
   if (!versions_.empty()) {
-    if (mode_ == ChainMode::kBackwardDelta) {
-      backward_.push_back(EncodeDelta(/*base=*/contents, /*target=*/current_));
-      // Measures the paper's storage claim: what a full copy of the
-      // displaced version would have cost vs. the delta we kept.
-      NEPTUNE_METRIC_COUNT("delta.bytes.raw", current_.size());
-      NEPTUNE_METRIC_COUNT("delta.bytes.stored", backward_.back().size());
-      // Keyframe the displaced version (we hold it whole right now).
-      const size_t displaced = versions_.size() - 1;
-      if (keyframe_interval_ > 0 && displaced % keyframe_interval_ == 0) {
-        keyframes_.push_back(Keyframe{displaced, current_});
-      }
-    } else {
-      backward_.push_back(current_);
+    backward_.push_back(EncodeDelta(/*base=*/contents, /*target=*/current_));
+    // Measures the paper's storage claim: what a full copy of the
+    // displaced version would have cost vs. the delta we kept.
+    NEPTUNE_METRIC_COUNT("delta.bytes.raw", current_.size());
+    NEPTUNE_METRIC_COUNT("delta.bytes.stored", backward_.back().size());
+    // Keyframe the displaced version (we hold it whole right now).
+    const size_t displaced = versions_.size() - 1;
+    if (keyframe_interval_ > 0 && displaced % keyframe_interval_ == 0) {
+      keyframes_.push_back(Keyframe{displaced, current_});
     }
   }
   versions_.push_back(VersionInfo{time, std::string(explanation)});
@@ -97,44 +76,7 @@ Result<std::string> VersionChain::Get(uint64_t time) const {
   if (versions_.empty()) return Status::NotFound("no versions");
   if (mode_ == ChainMode::kCurrentOnly) return current_;
   NEPTUNE_ASSIGN_OR_RETURN(size_t index, VersionIndexAt(time));
-  if (mode_ == ChainMode::kForwardDelta) {
-    if (index == versions_.size() - 1) return tip_;
-    const uint64_t canonical = versions_[index].time;
-    NEPTUNE_TRACE_SPAN(span, "delta.reconstruct");
-    std::string cached;
-    if (ReconstructionCache::Instance().Lookup(chain_id_, canonical,
-                                               &cached)) {
-      if (span.active()) span.Annotate("cache=hit");
-      return cached;
-    }
-    // Walk forward deltas up from the nearest keyframe at or below
-    // `index` (or the oldest version) to `index`.
-    size_t start = 0;
-    const std::string* base = &current_;
-    auto kf = std::upper_bound(
-        keyframes_.begin(), keyframes_.end(), index,
-        [](size_t i, const Keyframe& k) { return i < k.index; });
-    if (kf != keyframes_.begin()) {
-      --kf;
-      if (kf->index > start) {
-        start = static_cast<size_t>(kf->index);
-        base = &kf->contents;
-      }
-    }
-    NEPTUNE_METRIC_COUNT("delta.chain.reconstructions", 1);
-    NEPTUNE_METRIC_COUNT("delta.chain.deltas_applied", index - start);
-    if (span.active()) {
-      span.Annotate("cache=miss deltas=" + std::to_string(index - start));
-    }
-    std::string contents = *base;
-    for (size_t i = start; i < index; ++i) {
-      NEPTUNE_ASSIGN_OR_RETURN(contents, ApplyDelta(contents, backward_[i]));
-    }
-    ReconstructionCache::Instance().Insert(chain_id_, canonical, contents);
-    return contents;
-  }
   if (index == versions_.size() - 1) return current_;
-  if (mode_ == ChainMode::kFullCopy) return backward_[index];
   const uint64_t canonical = versions_[index].time;
   NEPTUNE_TRACE_SPAN(span, "delta.reconstruct");
   std::string cached;
@@ -173,12 +115,6 @@ size_t VersionChain::PruneBefore(uint64_t before) {
   Result<size_t> index = VersionIndexAt(before);
   if (!index.ok() || *index == 0) return 0;
   const size_t drop = *index;
-  if (mode_ == ChainMode::kForwardDelta) {
-    // Rebase: the version at the horizon becomes the new oldest base.
-    Result<std::string> base = Get(versions_[drop].time);
-    if (!base.ok()) return 0;
-    current_ = std::move(*base);
-  }
   versions_.erase(versions_.begin(),
                   versions_.begin() + static_cast<ptrdiff_t>(drop));
   backward_.erase(backward_.begin(),
@@ -235,7 +171,8 @@ Result<VersionChain> VersionChain::DecodeFrom(std::string_view* in) {
   in->remove_prefix(1);
   const bool keyframed = (first & kKeyframeFlag) != 0;
   const uint8_t mode_byte = first & ~kKeyframeFlag;
-  if (mode_byte > static_cast<uint8_t>(ChainMode::kForwardDelta)) {
+  if (mode_byte != static_cast<uint8_t>(ChainMode::kBackwardDelta) &&
+      mode_byte != static_cast<uint8_t>(ChainMode::kCurrentOnly)) {
     return Status::Corruption("version chain: bad mode");
   }
   VersionChain chain(static_cast<ChainMode>(mode_byte));
@@ -244,7 +181,7 @@ Result<VersionChain> VersionChain::DecodeFrom(std::string_view* in) {
     if (!GetVarint32(in, &chain.keyframe_interval_) || !GetVarint64(in, &nk)) {
       return Status::Corruption("version chain: truncated keyframe header");
     }
-    chain.keyframes_.reserve(nk);
+    chain.keyframes_.reserve(std::min<uint64_t>(nk, in->size()));
     uint64_t prev_index = 0;
     for (uint64_t i = 0; i < nk; ++i) {
       Keyframe k;
@@ -269,12 +206,16 @@ Result<VersionChain> VersionChain::DecodeFrom(std::string_view* in) {
   if (!GetVarint64(in, &n)) {
     return Status::Corruption("version chain: truncated version count");
   }
-  chain.versions_.reserve(n);
+  chain.versions_.reserve(std::min<uint64_t>(n, in->size()));
   for (uint64_t i = 0; i < n; ++i) {
     VersionInfo v;
     std::string_view expl;
     if (!GetVarint64(in, &v.time) || !GetLengthPrefixed(in, &expl)) {
       return Status::Corruption("version chain: truncated version info");
+    }
+    // Append's invariant: nonzero, strictly increasing times.
+    if (v.time == 0 || (i > 0 && v.time <= chain.versions_.back().time)) {
+      return Status::Corruption("version chain: version times out of order");
     }
     v.explanation.assign(expl);
     chain.versions_.push_back(std::move(v));
@@ -283,34 +224,22 @@ Result<VersionChain> VersionChain::DecodeFrom(std::string_view* in) {
   if (!GetVarint64(in, &nd)) {
     return Status::Corruption("version chain: truncated delta count");
   }
-  if (chain.mode_ != ChainMode::kCurrentOnly &&
-      nd + 1 != n && !(nd == 0 && n == 0)) {
+  // One delta per displaced version; current-only chains keep none.
+  const uint64_t want_deltas =
+      chain.mode_ == ChainMode::kCurrentOnly || n == 0 ? 0 : n - 1;
+  if (nd != want_deltas) {
     return Status::Corruption("version chain: delta/version count mismatch");
   }
   if (!chain.keyframes_.empty() && chain.keyframes_.back().index >= n) {
     return Status::Corruption("version chain: keyframe index out of range");
   }
-  chain.backward_.reserve(nd);
+  chain.backward_.reserve(std::min<uint64_t>(nd, in->size()));
   for (uint64_t i = 0; i < nd; ++i) {
     std::string_view d;
     if (!GetLengthPrefixed(in, &d)) {
       return Status::Corruption("version chain: truncated delta");
     }
     chain.backward_.emplace_back(d);
-  }
-  if (chain.mode_ == ChainMode::kForwardDelta && !chain.versions_.empty()) {
-    // Rebuild the in-memory tip cache by replaying the chain — from
-    // the last keyframe when one exists, else the whole chain.
-    size_t start = 0;
-    std::string tip = chain.current_;
-    if (!chain.keyframes_.empty()) {
-      start = static_cast<size_t>(chain.keyframes_.back().index);
-      tip = chain.keyframes_.back().contents;
-    }
-    for (size_t i = start; i < chain.backward_.size(); ++i) {
-      NEPTUNE_ASSIGN_OR_RETURN(tip, ApplyDelta(tip, chain.backward_[i]));
-    }
-    chain.tip_ = std::move(tip);
   }
   return chain;
 }

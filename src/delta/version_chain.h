@@ -5,18 +5,17 @@
 // The chain always holds the *current* contents in full; each older
 // version is a delta computed against the version that replaced it, so
 // reading version k applies (newest - k) deltas backwards — recent
-// versions, the common case, are cheapest. Three modes exist:
+// versions, the common case, are cheapest. Two modes exist, the two
+// the HAM writes:
 //
-//   kBackwardDelta  the paper's archive representation
-//   kFullCopy       every version stored whole; the baseline the
-//                   paper's design is implicitly compared against
-//                   ("without copying each individual item")
+//   kBackwardDelta  the paper's archive nodes ("effective storage of
+//                   many versions without copying each individual
+//                   item")
 //   kCurrentOnly    the paper's *file* nodes: no history kept
-//   kForwardDelta   the SCCS-flavoured alternative (oldest version
-//                   whole + forward deltas): as compact as backward
-//                   deltas, but the *current* version — the common
-//                   read — costs O(history). Kept as the ablation that
-//                   justifies the paper's RCS-style choice (B1/B2).
+//
+// The baselines the paper's choice is measured against (every version
+// stored whole; SCCS-style forward deltas) live with the benchmarks
+// that need them, in bench/baseline_chain.h (B1/B2).
 //
 // Keyframes. A plain delta chain makes a historical read cost
 // O(distance to the stored-whole end). With a keyframe interval K > 0
@@ -24,7 +23,7 @@
 // a reconstruction starts from the nearest keyframe and applies at
 // most ~K deltas — the RCS layout with SCCS-free random access,
 // trading (StoredBytes/K-th) extra storage for a hard latency bound.
-// Keyframes apply to both delta modes and are captured at Append time.
+// Keyframes are captured at Append time.
 //
 // Reconstructions are additionally memoized in the process-wide
 // ReconstructionCache (see recon_cache.h), keyed by the chain's
@@ -46,11 +45,11 @@
 namespace neptune {
 namespace delta {
 
+// The values are the encoded mode byte; 1 and 3 belonged to retired
+// ablation modes and no longer decode.
 enum class ChainMode : uint8_t {
   kBackwardDelta = 0,
-  kFullCopy = 1,
   kCurrentOnly = 2,
-  kForwardDelta = 3,
 };
 
 struct VersionInfo {
@@ -95,9 +94,7 @@ class VersionChain {
   // if `time` predates the first version.
   Result<size_t> VersionIndexAt(uint64_t time) const;
 
-  const std::string& Current() const {
-    return mode_ == ChainMode::kForwardDelta ? tip_ : current_;
-  }
+  const std::string& Current() const { return current_; }
   uint64_t CurrentTime() const {
     return versions_.empty() ? 0 : versions_.back().time;
   }
@@ -105,8 +102,8 @@ class VersionChain {
   // Version metadata, oldest first.
   const std::vector<VersionInfo>& versions() const { return versions_; }
 
-  // Bytes held by this chain (current contents + stored deltas or
-  // copies + keyframes); the quantity benchmark B1 measures.
+  // Bytes held by this chain (current contents + stored deltas +
+  // keyframes); the quantity benchmark B1 measures.
   size_t StoredBytes() const;
 
   // Reclaims storage: drops every version strictly older than the one
@@ -131,18 +128,11 @@ class VersionChain {
   static uint64_t NewChainId();
 
   ChainMode mode_;
-  // kForwardDelta: the OLDEST version's contents; otherwise the newest.
-  std::string current_;
+  std::string current_;                // the newest version's contents
   std::vector<VersionInfo> versions_;  // oldest -> newest
-  // Size is versions_.size() - 1. Per mode:
-  //   kBackwardDelta  backward_[i] reconstructs version i from i+1
-  //   kFullCopy       backward_[i] holds version i's full contents
-  //   kForwardDelta   backward_[i] reconstructs version i+1 from i
-  //   kCurrentOnly    unused (empty)
+  // kBackwardDelta: versions_.size() - 1 deltas, backward_[i]
+  // reconstructs version i from version i+1. kCurrentOnly: empty.
   std::vector<std::string> backward_;
-  // kForwardDelta only: in-memory cache of the newest contents (not
-  // serialized; rebuilt on decode) so appends don't replay the chain.
-  std::string tip_;
 
   uint32_t keyframe_interval_ = 0;
   std::vector<Keyframe> keyframes_;  // ascending by index

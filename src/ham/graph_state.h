@@ -192,12 +192,6 @@ class GraphState {
                                              AttributeIndex attr,
                                              Time time) const;
 
-  // Evaluates `pred` against a record's attributes at `time`.
-  bool EvaluateOnNode(const NodeRecord& node, Time time,
-                      const query::Predicate& pred) const;
-  bool EvaluateOnLink(const LinkRecord& link, Time time,
-                      const query::Predicate& pred) const;
-
   // -------------------------------------------------------- threads
 
   const ThreadState* FindThread(ThreadId thread) const;

@@ -27,10 +27,11 @@
 #ifndef NEPTUNE_QUERY_PREDICATE_H_
 #define NEPTUNE_QUERY_PREDICATE_H_
 
-#include <memory>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -38,117 +39,58 @@
 namespace neptune {
 namespace query {
 
-// Where the evaluator reads attribute values from. The HAM adapts its
-// nodes and links (at a given Time) to this interface.
-class AttributeSource {
- public:
-  virtual ~AttributeSource() = default;
-  // Value of `name`, or nullopt if the attribute is not attached.
-  virtual std::optional<std::string_view> GetAttribute(
-      std::string_view name) const = 0;
-};
-
-// AttributeSource over an in-memory list; used by tests and by
-// callers that already materialized (attribute, value) pairs.
-class MapAttributeSource : public AttributeSource {
- public:
-  MapAttributeSource() = default;
-  MapAttributeSource(
-      std::initializer_list<std::pair<std::string, std::string>> pairs) {
-    for (auto& [k, v] : pairs) Set(k, v);
-  }
-
-  void Set(std::string name, std::string value) {
-    for (auto& [k, v] : pairs_) {
-      if (k == name) {
-        v = std::move(value);
-        return;
-      }
-    }
-    pairs_.emplace_back(std::move(name), std::move(value));
-  }
-
-  std::optional<std::string_view> GetAttribute(
-      std::string_view name) const override {
-    for (const auto& [k, v] : pairs_) {
-      if (k == name) return std::string_view(v);
-    }
-    return std::nullopt;
-  }
-
- private:
-  std::vector<std::pair<std::string, std::string>> pairs_;
-};
-
-namespace internal {
-struct Expr;  // AST node; definition private to predicate.cc
-}  // namespace internal
-
+// A parsed predicate is a short-circuiting jump program: the syntax
+// tree lives only inside Parse, which flattens it into a flat atom
+// array and interns attribute names into dense slots the caller
+// resolves once per query (instead of a name lookup per atom per
+// record). Each atom carries two jump targets; evaluation follows
+// on_true/on_false until it reaches a terminal, so AND/OR short-
+// circuit, and true/false/NOT fold into the jump graph.
+//
+// Predicates are plain values, immutable after Parse, and safe to
+// evaluate concurrently.
 class Predicate {
  public:
-  // The always-true predicate (what an empty input parses to).
-  Predicate();
-  Predicate(const Predicate& other);
-  Predicate& operator=(const Predicate& other);
-  Predicate(Predicate&&) noexcept;
-  Predicate& operator=(Predicate&&) noexcept;
-  ~Predicate();
-
-  // Parses `text`; InvalidArgument with position info on bad syntax.
-  static Result<Predicate> Parse(std::string_view text);
-  static Predicate True() { return Predicate(); }
-
-  bool Evaluate(const AttributeSource& attrs) const;
-
-  // True when this predicate matches everything (no filtering).
-  bool IsTriviallyTrue() const;
-
-  // Attribute names the formula mentions, deduplicated, in first-use
-  // order. Query planning uses this to pick candidate indexes.
-  std::vector<std::string> ReferencedAttributes() const;
-
-  // Top-level AND-ed equality terms, i.e. every `name = value` that
-  // must hold for the whole formula to hold. Any object matching the
-  // predicate also matches each returned pair, so an index lookup on
-  // one of them yields a complete candidate set. Empty for formulas
-  // with no such term (e.g. pure disjunctions).
-  std::vector<std::pair<std::string, std::string>> EqualityConjuncts() const;
-
-  // Canonical fully-parenthesized text form; Parse(ToString()) is
-  // equivalent to the original.
-  std::string ToString() const;
-
- private:
-  friend class CompiledPredicate;
-
-  explicit Predicate(std::shared_ptr<const internal::Expr> root);
-
-  // Shared immutable AST: Predicates are cheap to copy and safe to
-  // evaluate concurrently.
-  std::shared_ptr<const internal::Expr> root_;  // null == true
-};
-
-// A predicate flattened into a short-circuiting jump program. The AST
-// is walked once at compile time; per-record evaluation then runs a
-// flat atom array — no tree recursion, and attribute names are
-// interned into dense slots the caller resolves once (instead of a
-// name lookup per atom per record). This is what the query scan
-// fallback and the planner's residual checks run, where one formula is
-// evaluated against thousands of records.
-//
-// Control flow: each atom carries two jump targets; evaluation follows
-// on_true/on_false until it reaches a terminal, so AND/OR short-
-// circuit exactly like the tree evaluator. kTrue/kFalse and kNot
-// compile away entirely (constant-folded into the jump graph).
-class CompiledPredicate {
- public:
-  // Where compiled evaluation reads attribute values from: slot i
-  // holds the value of slot_names()[i], or nullopt when unattached.
+  // Where evaluation reads attribute values from: slot i holds the
+  // value of slot_names()[i], or nullopt when unattached.
   class SlotSource {
    public:
     virtual ~SlotSource() = default;
     virtual std::optional<std::string_view> GetSlot(size_t slot) const = 0;
   };
+
+  // Deepest nesting of '(' and '!' that Parse accepts. The parser and
+  // the compiler recurse once per level; '&' / '|' chains add none.
+  static constexpr int kMaxNesting = 128;
+
+  Predicate() = default;  // the always-true program
+
+  // Parses `text`; InvalidArgument with position info on bad syntax or
+  // nesting deeper than kMaxNesting.
+  static Result<Predicate> Parse(std::string_view text);
+  static Predicate True() { return Predicate(); }
+
+  bool Matches(const SlotSource& source) const;
+
+  bool IsTriviallyTrue() const { return entry_ == kAccept; }
+  bool IsTriviallyFalse() const { return entry_ == kReject; }
+
+  // Attribute names the program reads, one per slot.
+  const std::vector<std::string>& slot_names() const { return slot_names_; }
+
+  // Top-level AND-ed equality terms, i.e. `name = value` terms that
+  // must hold for the whole formula to hold: the first 8 distinct ones,
+  // in first-use order. Any object matching the predicate also matches
+  // each returned pair, so an index lookup on one of them yields a
+  // complete candidate set. Empty for formulas with no such term
+  // (e.g. pure disjunctions).
+  const std::vector<std::pair<std::string, std::string>>& EqualityConjuncts()
+      const {
+    return conjuncts_;
+  }
+
+ private:
+  friend class ProgramBuilder;
 
   enum class AtomOp : uint8_t {
     kExists,
@@ -173,21 +115,9 @@ class CompiledPredicate {
     uint32_t on_false = kReject;
   };
 
-  CompiledPredicate() = default;  // the always-true program
-  static CompiledPredicate Compile(const Predicate& pred);
-
-  bool Evaluate(const SlotSource& source) const;
-
-  bool IsTriviallyTrue() const { return entry_ == kAccept; }
-  bool IsTriviallyFalse() const { return entry_ == kReject; }
-
-  // Attribute names the program reads, one per slot, first-use order.
-  const std::vector<std::string>& slot_names() const { return slot_names_; }
-  const std::vector<Atom>& atoms() const { return atoms_; }
-
- private:
   std::vector<Atom> atoms_;
   std::vector<std::string> slot_names_;
+  std::vector<std::pair<std::string, std::string>> conjuncts_;
   uint32_t entry_ = kAccept;
 };
 

@@ -1,123 +1,275 @@
-// Query-planner tests: the compiled predicate evaluator against the
-// tree walker, the single index-eligibility rule, and the plans the
-// engine reports through getGraphQueryExplained — including the
-// incremental index maintenance counters.
+// Query-planner tests: the predicate program's semantics, the
+// differential between the two HAM query mechanisms, the single
+// index-eligibility rule, and the plans the engine reports through
+// getGraphQueryExplained — including the incremental index maintenance
+// counters.
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "ham/graph_state.h"
 #include "query/predicate.h"
 #include "tests/ham/ham_test_util.h"
+#include "tests/query/map_slots.h"
 
 namespace neptune {
 namespace query {
 namespace {
 
-// Adapts a plain map to the compiled program's slot protocol, the way
-// CompiledRecordSource adapts an AttributeHistory in graph_state.cc.
-class MapSlotSource : public CompiledPredicate::SlotSource {
- public:
-  MapSlotSource(const CompiledPredicate& program,
-                const std::map<std::string, std::string>& values)
-      : program_(program), values_(values) {}
-
-  std::optional<std::string_view> GetSlot(size_t slot) const override {
-    auto it = values_.find(program_.slot_names()[slot]);
-    if (it == values_.end()) return std::nullopt;
-    return std::string_view(it->second);
-  }
-
- private:
-  const CompiledPredicate& program_;
-  const std::map<std::string, std::string>& values_;
-};
-
-// Evaluates `text` both ways — tree walk and compiled program — and
-// checks they agree before returning the verdict.
-bool EvalBoth(std::string_view text,
-              const std::map<std::string, std::string>& attrs) {
+bool Eval(std::string_view text, const Attrs& attrs) {
   auto parsed = Predicate::Parse(text);
   EXPECT_TRUE(parsed.ok()) << text << " -> " << parsed.status().ToString();
-  if (!parsed.ok()) return false;
-  MapAttributeSource tree_attrs;
-  for (const auto& [name, value] : attrs) tree_attrs.Set(name, value);
-  const bool tree = parsed->Evaluate(tree_attrs);
-  CompiledPredicate program = CompiledPredicate::Compile(*parsed);
-  MapSlotSource source(program, attrs);
-  const bool compiled = program.Evaluate(source);
-  EXPECT_EQ(tree, compiled) << "tree and compiled diverge on: " << text;
-  return compiled;
+  return parsed.ok() && Matches(*parsed, attrs);
 }
 
-const std::map<std::string, std::string> kCaseNode = {
-    {"contentType", "Modula-2 source"},
-    {"codeType", "procedure"},
-    {"document", "design"},
-    {"version", "12"},
-    {"author", "delisle"}};
+const Attrs kCaseNode = {{"contentType", "Modula-2 source"},
+                         {"codeType", "procedure"},
+                         {"document", "design"},
+                         {"version", "12"},
+                         {"author", "delisle"}};
 
 TEST(CompiledPredicateTest, TrivialPrograms) {
   auto empty = Predicate::Parse("");
   ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(CompiledPredicate::Compile(*empty).IsTriviallyTrue());
+  EXPECT_TRUE(empty->IsTriviallyTrue());
   auto always = Predicate::Parse("true");
   ASSERT_TRUE(always.ok());
-  EXPECT_TRUE(CompiledPredicate::Compile(*always).IsTriviallyTrue());
+  EXPECT_TRUE(always->IsTriviallyTrue());
   auto never = Predicate::Parse("false");
   ASSERT_TRUE(never.ok());
-  EXPECT_TRUE(CompiledPredicate::Compile(*never).IsTriviallyFalse());
-}
-
-TEST(CompiledPredicateTest, MatchesTreeEvaluator) {
-  EXPECT_TRUE(EvalBoth("codeType = procedure", kCaseNode));
-  EXPECT_FALSE(EvalBoth("codeType = definitionModule", kCaseNode));
-  EXPECT_TRUE(EvalBoth("contentType = 'Modula-2 source'", kCaseNode));
-  EXPECT_TRUE(EvalBoth("codeType != module", kCaseNode));
-  EXPECT_FALSE(EvalBoth("codeType != procedure", kCaseNode));
-  EXPECT_TRUE(EvalBoth("exists codeType", kCaseNode));
-  EXPECT_FALSE(EvalBoth("exists missing", kCaseNode));
-  EXPECT_TRUE(EvalBoth("!exists missing", kCaseNode));
-  EXPECT_TRUE(EvalBoth("version < 100", kCaseNode));
-  EXPECT_FALSE(EvalBoth("version > 100", kCaseNode));
-  EXPECT_TRUE(EvalBoth("version >= 12", kCaseNode));
-  EXPECT_TRUE(EvalBoth("version <= 12", kCaseNode));
-  EXPECT_TRUE(EvalBoth("contentType ~ Modula", kCaseNode));
-  EXPECT_FALSE(EvalBoth("contentType ~ Pascal", kCaseNode));
+  EXPECT_TRUE(never->IsTriviallyFalse());
+  // Constants fold into the jump graph.
+  EXPECT_TRUE(Predicate::Parse("true | a = 1")->IsTriviallyTrue());
+  EXPECT_TRUE(Predicate::Parse("!true & a = 1")->IsTriviallyFalse());
 }
 
 TEST(CompiledPredicateTest, AbsentAttributeMatchesNothing) {
-  EXPECT_FALSE(EvalBoth("missing = x", kCaseNode));
-  EXPECT_FALSE(EvalBoth("missing != x", kCaseNode));
-  EXPECT_FALSE(EvalBoth("missing < x", kCaseNode));
-  EXPECT_FALSE(EvalBoth("missing ~ x", kCaseNode));
-  EXPECT_TRUE(EvalBoth("!(missing = x)", kCaseNode));
+  EXPECT_FALSE(Eval("missing = x", kCaseNode));
+  EXPECT_FALSE(Eval("missing != x", kCaseNode));
+  EXPECT_FALSE(Eval("missing < x", kCaseNode));
+  EXPECT_FALSE(Eval("missing ~ x", kCaseNode));
+  EXPECT_TRUE(Eval("!(missing = x)", kCaseNode));
 }
 
 TEST(CompiledPredicateTest, BooleanStructure) {
-  EXPECT_TRUE(EvalBoth("codeType = procedure & document = design", kCaseNode));
-  EXPECT_FALSE(EvalBoth("codeType = procedure & document = spec", kCaseNode));
-  EXPECT_TRUE(EvalBoth("codeType = module | document = design", kCaseNode));
-  EXPECT_FALSE(EvalBoth("codeType = module | document = spec", kCaseNode));
+  EXPECT_TRUE(Eval("codeType = procedure & document = design", kCaseNode));
+  EXPECT_FALSE(Eval("codeType = procedure & document = spec", kCaseNode));
+  EXPECT_TRUE(Eval("codeType = module | document = design", kCaseNode));
+  EXPECT_FALSE(Eval("codeType = module | document = spec", kCaseNode));
   // Precedence: a | b & c == a | (b & c).
-  const std::map<std::string, std::string> abc = {
-      {"a", "0"}, {"b", "1"}, {"c", "1"}};
-  EXPECT_TRUE(EvalBoth("a = 1 | b = 1 & c = 1", abc));
-  EXPECT_FALSE(EvalBoth("(a = 1 | b = 1) & c = 0", abc));
-  EXPECT_TRUE(EvalBoth("!(a = 1) & (b = 1 | c = 0)", abc));
-  EXPECT_TRUE(EvalBoth(
-      "document = spec | (codeType = procedure & version >= 10)", kCaseNode));
+  const Attrs abc = {{"a", "0"}, {"b", "1"}, {"c", "1"}};
+  EXPECT_TRUE(Eval("a = 1 | b = 1 & c = 1", abc));
+  EXPECT_FALSE(Eval("(a = 1 | b = 1) & c = 0", abc));
+  EXPECT_TRUE(Eval("!(a = 1) & (b = 1 | c = 0)", abc));
+  EXPECT_TRUE(
+      Eval("document = spec | (codeType = procedure & version >= 10)",
+           kCaseNode));
+  // Chains mixed with nesting short-circuit in every position.
+  EXPECT_TRUE(Eval("a = 9 | b = 9 | (c = 9 | a = 0) & b = 1", abc));
+  EXPECT_FALSE(Eval("a = 0 & b = 1 & !(c = 1 | c = 2) & a = 0", abc));
 }
 
 TEST(CompiledPredicateTest, SlotsAreInternedOncePerName) {
   auto parsed =
       Predicate::Parse("a = 1 & a = 1 & a != 2 & exists a & b = 3");
   ASSERT_TRUE(parsed.ok());
-  CompiledPredicate program = CompiledPredicate::Compile(*parsed);
-  EXPECT_EQ(program.slot_names().size(), 2u);  // "a", "b"
+  EXPECT_EQ(parsed->slot_names().size(), 2u);  // "a", "b"
+}
+
+// ------------------------------------- linearizeGraph vs getGraphQuery
+
+// One formula corpus through both HAM query mechanisms. On a star
+// (hub -> every satellite, satellites have no out-links) linearizeGraph
+// from the hub selects the hub plus every matching satellite when the
+// hub matches, and nothing otherwise; from a satellite it selects just
+// that satellite when it matches. getGraphQuery must agree, at the
+// current time (index-eligible) and at an earlier one (scan).
+class PredicateDifferentialTest : public ham::HamTestBase {
+ protected:
+  static constexpr int kSatellites = 24;
+
+  void BuildStar() {
+    code_type_ = Attr("codeType");
+    document_ = Attr("document");
+    version_ = Attr("version");
+    content_type_ = Attr("contentType");
+    author_ = Attr("author");
+    role_ = Attr("role");
+    hub_ = AddNode();
+    Set(hub_, code_type_, "module");
+    Set(hub_, document_, "design");
+    Set(hub_, version_, "10");
+    Set(hub_, content_type_, "Modula-2 source");
+    for (int i = 0; i < kSatellites; ++i) {
+      const ham::NodeIndex node = AddSatellite(i);
+      if (i % 7 != 0) {
+        const char* types[] = {"procedure", "module", "definitionModule"};
+        Set(node, code_type_, types[i % 3]);
+      }
+      const char* documents[] = {"design", "spec", "requirements", "design"};
+      Set(node, document_, documents[i % 4]);
+      Set(node, version_, std::to_string(i * 3));
+      if (i % 5 != 0) {
+        Set(node, content_type_, i % 2 ? "Modula-2 source" : "Pascal text");
+      }
+      if (i % 4 == 1) Set(node, author_, "delisle");
+    }
+  }
+
+  // Rewrites history after the first snapshot: changed and detached
+  // values, a deleted satellite and satellites that did not exist yet.
+  void Mutate() {
+    for (size_t i = 0; i < satellites_.size(); ++i) {
+      const ham::NodeIndex node = satellites_[i];
+      if (i % 3 == 0) Set(node, document_, "spec");
+      if (i % 4 == 2) {
+        ASSERT_TRUE(ham_->DeleteNodeAttribute(ctx_, node, code_type_).ok());
+      }
+      Set(node, version_, std::to_string(i * 5));
+    }
+    ASSERT_TRUE(ham_->DeleteNode(ctx_, satellites_[5]).ok());
+    for (int i = kSatellites; i < kSatellites + 4; ++i) {
+      const ham::NodeIndex node = AddSatellite(i);
+      Set(node, code_type_, "procedure");
+      Set(node, document_, "design");
+      Set(node, version_, std::to_string(i));
+    }
+    Set(hub_, document_, "spec");
+  }
+
+  ham::Time Now() { return ham_->GetStats(ctx_)->current_time; }
+
+  void ExpectAgreement(ham::Time time) {
+    auto everything = ham_->GetGraphQuery(ctx_, time, "", "", {}, {});
+    ASSERT_TRUE(everything.ok()) << everything.status().ToString();
+    std::set<ham::NodeIndex> existing;
+    for (const auto& n : everything->nodes) existing.insert(n.node);
+    const char* node_formulas[] = {
+        "",
+        "true",
+        "false",
+        "codeType = procedure",
+        "codeType = definitionModule",
+        "contentType = 'Modula-2 source'",
+        "codeType != module",
+        "exists codeType",
+        "exists author",
+        "!exists author",
+        "version < 30",
+        "version >= 12",
+        "version > 9",
+        "version <= 12",
+        "contentType ~ Modula",
+        "contentType ~ Pascal",
+        "missing = x",
+        "missing != x",
+        "!(missing = x)",
+        "codeType = procedure & document = design",
+        "codeType = module | document = design",
+        "document = spec | (codeType = procedure & version >= 10)",
+        "!(codeType = module) & (document = design | version < 20)",
+        "document = design & document = design & codeType != module",
+        "not (document = spec or exists author) and version > 3",
+    };
+    for (const char* formula : node_formulas) {
+      SCOPED_TRACE(std::string("node predicate: ") + formula +
+                   " time=" + std::to_string(time));
+      auto queried = ham_->GetGraphQuery(ctx_, time, formula, "", {}, {});
+      ASSERT_TRUE(queried.ok()) << queried.status().ToString();
+      std::set<ham::NodeIndex> selected;
+      for (const auto& n : queried->nodes) selected.insert(n.node);
+      const std::set<ham::NodeIndex> from_hub =
+          LinearizedNodes(hub_, time, formula);
+      if (selected.count(hub_) != 0) {
+        EXPECT_EQ(from_hub, selected);
+      } else {
+        EXPECT_TRUE(from_hub.empty());
+      }
+      for (ham::NodeIndex node : satellites_) {
+        if (existing.count(node) == 0) continue;
+        EXPECT_EQ(!LinearizedNodes(node, time, formula).empty(),
+                  selected.count(node) != 0)
+            << "satellite " << node;
+      }
+    }
+    const char* link_formulas[] = {"", "role = calls", "role != calls",
+                                   "!exists role", "role ~ port",
+                                   "role = calls | !exists role"};
+    for (const char* formula : link_formulas) {
+      SCOPED_TRACE(std::string("link predicate: ") + formula +
+                   " time=" + std::to_string(time));
+      auto queried = ham_->GetGraphQuery(ctx_, time, "", formula, {}, {});
+      ASSERT_TRUE(queried.ok()) << queried.status().ToString();
+      auto linearized =
+          ham_->LinearizeGraph(ctx_, hub_, time, "", formula, {}, {});
+      ASSERT_TRUE(linearized.ok()) << linearized.status().ToString();
+      std::set<ham::LinkIndex> from_query;
+      std::set<ham::LinkIndex> from_hub;
+      for (const auto& l : queried->links) from_query.insert(l.link);
+      for (const auto& l : linearized->links) from_hub.insert(l.link);
+      EXPECT_EQ(from_hub, from_query);
+    }
+  }
+
+ private:
+  ham::NodeIndex AddNode() {
+    auto added = ham_->AddNode(ctx_, true);
+    EXPECT_TRUE(added.ok()) << added.status().ToString();
+    return added->node;
+  }
+
+  ham::NodeIndex AddSatellite(int i) {
+    const ham::NodeIndex node = AddNode();
+    auto link = ham_->AddLink(ctx_, ham::LinkPt{hub_, static_cast<uint64_t>(i)},
+                              ham::LinkPt{node, 0});
+    EXPECT_TRUE(link.ok()) << link.status().ToString();
+    if (i % 3 != 2) {
+      EXPECT_TRUE(ham_->SetLinkAttributeValue(ctx_, link->link, role_,
+                                              i % 3 == 0 ? "calls" : "imports")
+                      .ok());
+    }
+    satellites_.push_back(node);
+    return node;
+  }
+
+  void Set(ham::NodeIndex node, ham::AttributeIndex attr,
+           const std::string& value) {
+    ASSERT_TRUE(ham_->SetNodeAttributeValue(ctx_, node, attr, value).ok());
+  }
+
+  std::set<ham::NodeIndex> LinearizedNodes(ham::NodeIndex start,
+                                           ham::Time time,
+                                           const std::string& formula) {
+    auto result =
+        ham_->LinearizeGraph(ctx_, start, time, formula, "", {}, {});
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    std::set<ham::NodeIndex> out;
+    if (result.ok()) {
+      for (const auto& n : result->nodes) out.insert(n.node);
+    }
+    return out;
+  }
+
+  ham::NodeIndex hub_ = 0;
+  std::vector<ham::NodeIndex> satellites_;
+  ham::AttributeIndex code_type_ = 0;
+  ham::AttributeIndex document_ = 0;
+  ham::AttributeIndex version_ = 0;
+  ham::AttributeIndex content_type_ = 0;
+  ham::AttributeIndex author_ = 0;
+  ham::AttributeIndex role_ = 0;
+};
+
+TEST_F(PredicateDifferentialTest, LinearizeAndQuerySelectTheSameObjects) {
+  BuildStar();
+  const ham::Time earlier = Now();
+  ExpectAgreement(0);
+  Mutate();
+  ExpectAgreement(0);
+  ExpectAgreement(earlier);
 }
 
 // ------------------------------------------------- eligibility rule

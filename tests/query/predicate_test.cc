@@ -2,42 +2,44 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/query/map_slots.h"
+
 namespace neptune {
 namespace query {
 namespace {
 
-MapAttributeSource CaseNode() {
-  return MapAttributeSource{{"contentType", "Modula-2 source"},
-                            {"codeType", "procedure"},
-                            {"document", "design"},
-                            {"version", "12"},
-                            {"author", "delisle"}};
+Attrs CaseNode() {
+  return Attrs{{"contentType", "Modula-2 source"},
+               {"codeType", "procedure"},
+               {"document", "design"},
+               {"version", "12"},
+               {"author", "delisle"}};
 }
 
-bool Eval(std::string_view text, const AttributeSource& attrs) {
+bool Eval(std::string_view text, const Attrs& attrs) {
   auto p = Predicate::Parse(text);
   EXPECT_TRUE(p.ok()) << text << " -> " << p.status().ToString();
-  return p.ok() && p->Evaluate(attrs);
+  return p.ok() && Matches(*p, attrs);
 }
 
 TEST(PredicateParseTest, EmptyIsTrue) {
   auto p = Predicate::Parse("");
   ASSERT_TRUE(p.ok());
   EXPECT_TRUE(p->IsTriviallyTrue());
-  EXPECT_TRUE(p->Evaluate(MapAttributeSource{}));
+  EXPECT_TRUE(Matches(*p, Attrs{}));
   auto blank = Predicate::Parse("   \t\n ");
   ASSERT_TRUE(blank.ok());
   EXPECT_TRUE(blank->IsTriviallyTrue());
 }
 
 TEST(PredicateParseTest, Literals) {
-  EXPECT_TRUE(Eval("true", MapAttributeSource{}));
-  EXPECT_FALSE(Eval("false", MapAttributeSource{}));
+  EXPECT_TRUE(Eval("true", Attrs{}));
+  EXPECT_FALSE(Eval("false", Attrs{}));
 }
 
 TEST(PredicateTest, PaperExampleDocumentEqualsRequirements) {
   // The exact example from paper §3.
-  MapAttributeSource node{{"document", "requirements"}};
+  Attrs node{{"document", "requirements"}};
   EXPECT_TRUE(Eval("document = requirements", node));
   EXPECT_FALSE(Eval("document = design", node));
 }
@@ -82,7 +84,7 @@ TEST(PredicateTest, NumericComparisons) {
 }
 
 TEST(PredicateTest, LexicographicComparisons) {
-  MapAttributeSource node{{"name", "beta"}};
+  Attrs node{{"name", "beta"}};
   EXPECT_TRUE(Eval("name > alpha", node));
   EXPECT_TRUE(Eval("name < gamma", node));
 }
@@ -108,28 +110,28 @@ TEST(PredicateTest, BooleanCombinators) {
 
 TEST(PredicateTest, PrecedenceAndBindsTighterThanOr) {
   // a | b & c  ==  a | (b & c)
-  MapAttributeSource node{{"a", "0"}, {"b", "1"}, {"c", "1"}};
+  Attrs node{{"a", "0"}, {"b", "1"}, {"c", "1"}};
   EXPECT_TRUE(Eval("a = 1 | b = 1 & c = 1", node));
-  MapAttributeSource node2{{"a", "0"}, {"b", "1"}, {"c", "0"}};
+  Attrs node2{{"a", "0"}, {"b", "1"}, {"c", "0"}};
   EXPECT_FALSE(Eval("a = 1 | b = 1 & c = 0", CaseNode()));
   EXPECT_FALSE(Eval("a = 1 | b = 1 & c = 1", node2));
 }
 
 TEST(PredicateTest, ParenthesesOverridePrecedence) {
-  MapAttributeSource node{{"a", "1"}, {"b", "0"}, {"c", "1"}};
+  Attrs node{{"a", "1"}, {"b", "0"}, {"c", "1"}};
   EXPECT_TRUE(Eval("(a = 1 | b = 1) & c = 1", node));
-  MapAttributeSource node2{{"a", "1"}, {"b", "0"}, {"c", "0"}};
+  Attrs node2{{"a", "1"}, {"b", "0"}, {"c", "0"}};
   EXPECT_FALSE(Eval("(a = 1 | b = 1) & c = 1", node2));
 }
 
 TEST(PredicateTest, QuotedStringsWithEscapes) {
-  MapAttributeSource node{{"title", "it's \"quoted\""}};
+  Attrs node{{"title", "it's \"quoted\""}};
   EXPECT_TRUE(Eval("title = 'it\\'s \"quoted\"'", node));
   EXPECT_TRUE(Eval("title ~ \"\\\"quoted\\\"\"", node));
 }
 
 TEST(PredicateTest, EmptyValueRequiresQuotes) {
-  MapAttributeSource node{{"note", ""}};
+  Attrs node{{"note", ""}};
   EXPECT_TRUE(Eval("note = ''", node));
   EXPECT_TRUE(Eval("exists note", node));
 }
@@ -150,69 +152,76 @@ TEST(PredicateParseTest, ErrorsCarryPosition) {
   EXPECT_NE(p.status().message().find("position"), std::string_view::npos);
 }
 
-TEST(PredicateTest, ReferencedAttributes) {
-  auto p = Predicate::Parse(
-      "document = spec & (codeType = procedure | document = design) & "
-      "exists author");
-  ASSERT_TRUE(p.ok());
-  EXPECT_EQ(p->ReferencedAttributes(),
-            (std::vector<std::string>{"document", "codeType", "author"}));
-  EXPECT_TRUE(Predicate::True().ReferencedAttributes().empty());
-}
-
-TEST(PredicateTest, ToStringRoundTripsSemantics) {
-  const char* inputs[] = {
-      "document = requirements",
-      "a = 1 | b = 2 & c = 3",
-      "!(x ~ 'we ird')",
-      "exists author & version >= 10",
-      "title = 'it\\'s'",
-      "true",
-  };
-  MapAttributeSource sources[] = {
-      CaseNode(),
-      MapAttributeSource{{"a", "1"}},
-      MapAttributeSource{{"x", "we ird stuff"}},
-      MapAttributeSource{{"author", "x"}, {"version", "11"}},
-      MapAttributeSource{{"title", "it's"}},
-      MapAttributeSource{},
-  };
-  for (const char* text : inputs) {
-    auto p = Predicate::Parse(text);
-    ASSERT_TRUE(p.ok()) << text;
-    auto reparsed = Predicate::Parse(p->ToString());
-    ASSERT_TRUE(reparsed.ok()) << p->ToString();
-    for (const auto& src : sources) {
-      EXPECT_EQ(p->Evaluate(src), reparsed->Evaluate(src))
-          << text << " vs " << p->ToString();
-    }
-  }
-}
-
 TEST(PredicateTest, CopyAndMoveSemantics) {
   auto p = Predicate::Parse("a = 1");
   ASSERT_TRUE(p.ok());
   Predicate copy = *p;
   Predicate moved = std::move(*p);
-  MapAttributeSource yes{{"a", "1"}};
-  MapAttributeSource no{{"a", "2"}};
-  EXPECT_TRUE(copy.Evaluate(yes));
-  EXPECT_TRUE(moved.Evaluate(yes));
-  EXPECT_FALSE(copy.Evaluate(no));
+  const Attrs yes{{"a", "1"}};
+  const Attrs no{{"a", "2"}};
+  EXPECT_TRUE(Matches(copy, yes));
+  EXPECT_TRUE(Matches(moved, yes));
+  EXPECT_FALSE(Matches(copy, no));
 }
 
 TEST(PredicateTest, AttributeNamesWithDotsAndDashes) {
-  MapAttributeSource node{{"project.owner", "mayer"}, {"x-flag", "on"}};
+  Attrs node{{"project.owner", "mayer"}, {"x-flag", "on"}};
   EXPECT_TRUE(Eval("project.owner = mayer", node));
   EXPECT_TRUE(Eval("x-flag = on", node));
 }
 
-TEST(MapAttributeSourceTest, SetOverwrites) {
-  MapAttributeSource src;
-  src.Set("k", "v1");
-  src.Set("k", "v2");
-  EXPECT_EQ(*src.GetAttribute("k"), "v2");
-  EXPECT_FALSE(src.GetAttribute("other").has_value());
+// Nesting is bounded: '(' and '!' each add a level, and Parse rejects
+// more than kMaxNesting of them instead of recursing without limit.
+TEST(PredicateParseTest, NestingLimitIsExact) {
+  const int limit = Predicate::kMaxNesting;
+  auto at_limit = Predicate::Parse(std::string(limit, '!') + "true");
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  EXPECT_TRUE(at_limit->IsTriviallyTrue());  // an even count of '!'
+  EXPECT_TRUE(Predicate::Parse(std::string(limit, '(') + "a = 1" +
+                               std::string(limit, ')'))
+                  .ok());
+  EXPECT_TRUE(Predicate::Parse(std::string(limit + 1, '!') + "true")
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(Predicate::Parse(std::string(limit / 2, '(') +
+                               std::string(limit / 2 + 1, '!') + "a = 1" +
+                               std::string(limit / 2, ')'))
+                  .status()
+                  .IsInvalidArgument());
+}
+
+// A request-sized negation tower gets an error instead of one parser
+// frame per '!' and a stack overflow.
+TEST(PredicateParseTest, DeepNegationIsRejected) {
+  auto p = Predicate::Parse(std::string(200000, '!') + "true");
+  ASSERT_FALSE(p.ok());
+  EXPECT_TRUE(p.status().IsInvalidArgument()) << p.status().ToString();
+  EXPECT_NE(p.status().message().find("nested"), std::string_view::npos);
+}
+
+// A long '&' chain is one n-ary node: its length adds no depth to any
+// pass (parse, compile, conjuncts, destruction).
+TEST(PredicateParseTest, LongConjunctionParsesFlat) {
+  std::string text = "a=1";
+  for (int i = 1; i < 300000; ++i) text += "&a=1";
+  auto p = Predicate::Parse(text);
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  EXPECT_TRUE(Matches(*p, Attrs{{"a", "1"}}));
+  EXPECT_FALSE(Matches(*p, Attrs{{"a", "2"}}));
+  EXPECT_FALSE(Matches(*p, Attrs{}));
+  // Repeated terms are one index probe.
+  ASSERT_EQ(p->EqualityConjuncts().size(), 1u);
+  EXPECT_EQ(p->EqualityConjuncts()[0],
+            (std::pair<std::string, std::string>{"a", "1"}));
+
+  // As many distinct names: interning stays linear in the length.
+  std::string either = "a0=1";
+  for (int i = 1; i < 300000; ++i) either += "|a" + std::to_string(i) + "=1";
+  auto q = Predicate::Parse(either);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_TRUE(Matches(*q, Attrs{{"a299999", "1"}}));
+  EXPECT_FALSE(Matches(*q, Attrs{{"a299999", "2"}, {"b", "1"}}));
+  EXPECT_EQ(q->slot_names().size(), 300000u);
 }
 
 }  // namespace

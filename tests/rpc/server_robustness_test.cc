@@ -128,6 +128,42 @@ TEST_F(ServerRobustnessTest, HugeDecodedCountGetsErrorReply) {
   EXPECT_TRUE(pstatus.ok()) << pstatus.ToString();
 }
 
+// Predicates arrive from clients: a request-sized nesting tower gets
+// an error reply instead of overflowing a server thread's stack, and a
+// request-sized '&' chain gets its answer.
+TEST_F(ServerRobustnessTest, HostilePredicatesGetRepliesServerKeepsServing) {
+  auto client = RemoteHam::Connect("localhost", port_);
+  ASSERT_TRUE(client.ok());
+  auto created = (*client)->CreateGraph(dir_, 0755);
+  ASSERT_TRUE(created.ok());
+  auto ctx = (*client)->OpenGraph(created->project, "localhost", dir_);
+  ASSERT_TRUE(ctx.ok());
+  auto node = (*client)->AddNode(*ctx, true);
+  ASSERT_TRUE(node.ok());
+  auto a = (*client)->GetAttributeIndex(*ctx, "a");
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE((*client)->SetNodeAttributeValue(*ctx, node->node, *a, "1").ok());
+
+  auto nested = (*client)->GetGraphQuery(
+      *ctx, 0, std::string(200000, '!') + "true", "", {}, {});
+  EXPECT_TRUE(nested.status().IsInvalidArgument())
+      << nested.status().ToString();
+  EXPECT_TRUE((*client)->Ping().ok());
+
+  std::string chain = "a=1";
+  for (int i = 1; i < 300000; ++i) chain += "&a=1";
+  auto flat = (*client)->GetGraphQuery(*ctx, 0, chain, "", {}, {});
+  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+  ASSERT_EQ(flat->nodes.size(), 1u);
+  EXPECT_EQ(flat->nodes[0].node, node->node);
+  auto walked =
+      (*client)->LinearizeGraph(*ctx, node->node, 0, chain, "", {}, {});
+  ASSERT_TRUE(walked.ok()) << walked.status().ToString();
+  EXPECT_EQ(walked->nodes.size(), 1u);
+  EXPECT_TRUE((*client)->Ping().ok());
+  EXPECT_TRUE((*client)->CloseGraph(*ctx).ok());
+}
+
 TEST_F(ServerRobustnessTest, WireGarbageDropsThatClientOnly) {
   // Client A misbehaves: raw garbage that fails the frame CRC.
   auto bad = FrameStream::Connect("localhost", port_);
