@@ -53,7 +53,18 @@ def main():
         name = new.get("headline") or old.get("headline") or "?"
         old_us = old.get("headline_real_time_us")
         new_us = new.get("headline_real_time_us")
-        if old_us and new_us:
+        renamed = (old.get("headline") and new.get("headline")
+                   and old["headline"] != new["headline"])
+        if renamed:
+            # Two different benchmarks: no delta until the baseline is
+            # re-recorded, and a gated series cannot pass unchecked.
+            name = f"{old['headline']}` -> `{new['headline']}"
+            delta = "n/a (headline changed)"
+            if series in gated:
+                failures.append(
+                    f"{series}: headline changed from {old['headline']} "
+                    f"to {new['headline']}; re-record the baseline")
+        elif old_us and new_us:
             delta_pct = (new_us - old_us) / old_us * 100
             delta = f"{delta_pct:+.1f}%"
             if series in gated and delta_pct > args.threshold:

@@ -109,6 +109,21 @@ TEST(ByteDeltaApplyTest, RejectsLengthMismatch) {
   EXPECT_TRUE(result.status().IsCorruption());
 }
 
+TEST(ByteDeltaApplyTest, RejectsOutputPastTargetLength) {
+  // Header says 3 bytes; the first COPY alone would write 4.
+  std::string copy;
+  copy.push_back('\x03');  // varint 3
+  copy += std::string("\x01\x00\x04", 3);  // COPY(0, 4)
+  EXPECT_TRUE(ApplyDelta("base", copy).status().IsCorruption());
+
+  std::string add;
+  add.push_back('\x02');  // varint 2
+  add.push_back('\x00');  // ADD
+  add.push_back('\x03');  // len 3
+  add += "abc";
+  EXPECT_TRUE(ApplyDelta("", add).status().IsCorruption());
+}
+
 // Property sweep: random bases with random edit scripts of varying
 // aggressiveness always round-trip.
 class ByteDeltaPropertyTest : public ::testing::TestWithParam<int> {};
