@@ -17,6 +17,10 @@
 //  * Histograms use fixed power-of-~2 microsecond buckets so merging
 //    and wire encoding are trivial and bump cost is a branch-free
 //    search plus one atomic add.
+//  * Scopes are timed by the span that traces them (common/trace.h):
+//    NEPTUNE_TRACE_SPAN(var, span_name, histogram_name) records one
+//    sample into the histogram and bumps `histogram_name.count`, with
+//    tracing on or off, so an operation carries one instrument.
 
 #ifndef NEPTUNE_COMMON_METRICS_H_
 #define NEPTUNE_COMMON_METRICS_H_
@@ -28,8 +32,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "common/clock.h"
 
 namespace neptune {
 
@@ -147,51 +149,14 @@ class MetricsRegistry {
   std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
-// Times a scope and records the elapsed time into a histogram,
-// optionally bumping a companion counter. All timestamps go through
-// the TimeSource seam: pass the owning component's time source so the
-// deterministic simulation records virtual durations; the default is
-// the process-wide monotonic clock.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram* histogram, Counter* counter = nullptr,
-                       TimeSource* time = nullptr)
-      : histogram_(histogram),
-        counter_(counter),
-        time_(time != nullptr ? time : RealTimeSource()),
-        start_(time_->NowMicros()) {}
-  ~ScopedTimer() {
-    if (counter_ != nullptr) counter_->Increment();
-    histogram_->Record(time_->NowMicros() - start_);
-  }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram* histogram_;
-  Counter* counter_;
-  TimeSource* time_;
-  uint64_t start_;
-};
-
-// Convenience one-liners for instrumented call sites. The static
-// local makes the registry lookup a one-time cost per site.
+// Convenience one-liner for instrumented call sites. The static local
+// makes the registry lookup a one-time cost per site.
 #define NEPTUNE_METRIC_COUNT(name, delta)                                  \
   do {                                                                     \
     static ::neptune::Counter* _neptune_counter =                          \
         ::neptune::MetricsRegistry::Instance().GetCounter(name);           \
     _neptune_counter->Add(delta);                                          \
   } while (0)
-
-// Declares a ScopedTimer named `var` that times the rest of the scope
-// into histogram `name` and counts invocations in `name.count`.
-#define NEPTUNE_METRIC_TIMED(var, name)                                    \
-  static ::neptune::Histogram* var##_hist =                                \
-      ::neptune::MetricsRegistry::Instance().GetHistogram(name);           \
-  static ::neptune::Counter* var##_count =                                 \
-      ::neptune::MetricsRegistry::Instance().GetCounter(name ".count");    \
-  ::neptune::ScopedTimer var(var##_hist, var##_count)
 
 }  // namespace neptune
 

@@ -2,7 +2,6 @@
 
 #include <thread>
 
-#include "common/clock.h"
 #include "common/coding.h"
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -210,6 +209,14 @@ void Tracer::ResetForTest() {
 
 // ------------------------------------------------------------ ScopedSpan
 
+SpanSite::SpanSite(std::string_view name, std::string_view histogram)
+    : name_id(Tracer::Instance().InternName(name)) {
+  if (histogram.empty()) return;
+  MetricsRegistry& registry = MetricsRegistry::Instance();
+  this->histogram = registry.GetHistogram(histogram);
+  count = registry.GetCounter(std::string(histogram) + ".count");
+}
+
 void ScopedSpan::Begin(uint32_t name_id, const TraceContext* remote) {
   Tracer& tracer = Tracer::Instance();
   Tracer::ThreadTrace& t = Tracer::CurrentThreadTrace();
@@ -237,11 +244,9 @@ void ScopedSpan::Begin(uint32_t name_id, const TraceContext* remote) {
   prev_span_ = t.current_span;
   t.current_span = span_id_;
   ++t.depth;
-  start_us_ = NowMicros();
 }
 
-void ScopedSpan::End() {
-  const uint64_t duration_us = NowMicros() - start_us_;
+void ScopedSpan::End(uint64_t duration_us) {
   Tracer& tracer = Tracer::Instance();
   Tracer::ThreadTrace& t = Tracer::CurrentThreadTrace();
   t.current_span = prev_span_;

@@ -8,9 +8,13 @@
 // the (trace_id, parent span) pair from the client stub to the server
 // so a workstation's call and the server work it caused form one trace.
 //
+// A span given a histogram is also its scope's latency instrument, so
+// an instrumented operation is one statement (see NEPTUNE_TRACE_SPAN).
+//
 // Design, mirroring the metrics layer's cost discipline:
-//  * Disabled (trace_sample_n == 0) the whole facility is one relaxed
-//    atomic load and a branch per span site — cheap enough to leave
+//  * Disabled (trace_sample_n == 0) a span without a histogram is one
+//    relaxed atomic load and a branch; one with a histogram adds two
+//    clock reads and the histogram bump — cheap enough to leave
 //    compiled into every operation.
 //  * Enabled, spans are appended to a bounded per-thread buffer with
 //    no locking; only when a root span finishes is the buffer flushed
@@ -33,9 +37,10 @@
 #include <string_view>
 #include <vector>
 
-namespace neptune {
+#include "common/clock.h"
+#include "common/metrics.h"
 
-class Counter;
+namespace neptune {
 
 // The propagated portion of a trace: enough for a remote callee to
 // parent its spans under the caller's. trace_id == 0 means "no trace"
@@ -54,7 +59,7 @@ struct Span {
   uint64_t span_id = 0;
   uint64_t parent_id = 0;  // 0 = root of its trace
   std::string name;        // interned op name ("ham.openNode", ...)
-  uint64_t start_us = 0;   // wall clock (NowMicros) at span start
+  uint64_t start_us = 0;   // the span's TimeSource at start (steady clock)
   uint64_t duration_us = 0;
   uint64_t thread_id = 0;  // hashed std::thread::id
   std::string annotation;  // "key=value key=value" attributes
@@ -102,7 +107,7 @@ class Tracer {
   uint64_t slow_us() const { return slow_us_.load(std::memory_order_relaxed); }
 
   // Interns `name`, returning a stable id. One-time cost per call
-  // site; see NEPTUNE_TRACE_SPAN.
+  // site; see SpanSite.
   uint32_t InternName(std::string_view name);
   std::string NameOf(uint32_t name_id) const;
 
@@ -131,7 +136,7 @@ class Tracer {
   struct ThreadTrace;  // per-thread span buffer (trace.cc)
   static ThreadTrace& CurrentThreadTrace();
 
-  // Called by ~ScopedSpan for a span at or past slow_us.
+  // Called when a span at or past slow_us finishes.
   void RecordSlowOp(const Span& span);
   // Called when a thread's root span finishes; publishes or discards
   // the thread buffer.
@@ -155,28 +160,48 @@ class Tracer {
   Counter* slow_ops_;
 };
 
-// RAII span. Construction is a no-op when tracing is disabled. A span
-// opened while another span is live on the same thread becomes its
-// child; the first span on a thread roots a new trace (sampled 1-in-N)
-// unless it adopts a remote TraceContext, in which case it parents
-// under the caller's span and inherits the caller's sampling decision.
+// One call site's constants, resolved once (the macros keep it in a
+// static local): the interned span name and, for a timed site, the
+// histogram `histogram` and its invocation counter `histogram.count`.
+struct SpanSite {
+  explicit SpanSite(std::string_view name, std::string_view histogram = {});
+
+  uint32_t name_id = 0;
+  Histogram* histogram = nullptr;
+  Counter* count = nullptr;
+};
+
+// RAII span. A span opened while another span is live on the same
+// thread becomes its child; the first span on a thread roots a new
+// trace (sampled 1-in-N) unless it adopts a remote TraceContext, in
+// which case it parents under the caller's span and inherits the
+// caller's sampling decision. With a `histogram` the span also records
+// its duration there (and bumps `count`) exactly once, traced or not;
+// sample and trace both read `time` (default: the steady clock).
 class ScopedSpan {
  public:
-  explicit ScopedSpan(uint32_t name_id) {
-    if (!TracingEnabled()) return;
-    Begin(name_id, nullptr);
+  explicit ScopedSpan(uint32_t name_id, Histogram* histogram = nullptr,
+                      Counter* count = nullptr, TimeSource* time = nullptr)
+      : histogram_(histogram), count_(count), time_(time) {
+    Start(name_id, nullptr);
   }
   ScopedSpan(uint32_t name_id, const TraceContext& remote) {
-    if (!TracingEnabled()) return;
-    Begin(name_id, &remote);
+    Start(name_id, &remote);
   }
   ~ScopedSpan() {
-    if (active_) End();
+    if (histogram_ == nullptr && !active_) return;
+    const uint64_t duration_us = time_->NowMicros() - start_us_;
+    if (histogram_ != nullptr) {
+      if (count_ != nullptr) count_->Increment();
+      histogram_->Record(duration_us);
+    }
+    if (active_) End(duration_us);
   }
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
+  // True when the span is being traced (not merely timed).
   bool active() const { return active_; }
 
   // Appends a "key=value" attribute. Guard expensive string builds
@@ -189,15 +214,25 @@ class ScopedSpan {
   static TraceContext CurrentContext();
 
  private:
+  void Start(uint32_t name_id, const TraceContext* remote) {
+    const bool traced = TracingEnabled();
+    if (histogram_ == nullptr && !traced) return;
+    if (time_ == nullptr) time_ = RealTimeSource();
+    start_us_ = time_->NowMicros();
+    if (traced) Begin(name_id, remote);
+  }
   void Begin(uint32_t name_id, const TraceContext* remote);
-  void End();
+  void End(uint64_t duration_us);
 
+  Histogram* histogram_ = nullptr;
+  Counter* count_ = nullptr;
+  TimeSource* time_ = nullptr;
+  uint64_t start_us_ = 0;
   bool active_ = false;
   uint32_t name_id_ = 0;
   uint64_t span_id_ = 0;
   uint64_t parent_id_ = 0;
   uint64_t prev_span_ = 0;  // restored as current on End
-  uint64_t start_us_ = 0;
   std::string annotation_;
 };
 
@@ -217,18 +252,20 @@ bool DecodeSpansFrom(std::string_view* in, std::vector<Span>* spans);
 // tid = recording thread, ts/dur in microseconds.
 std::string TracesToChromeJson(const std::vector<Trace>& traces);
 
-// Declares a span named `var` covering the rest of the scope. The
-// static local makes the name-interning a one-time cost per site.
-#define NEPTUNE_TRACE_SPAN(var, name)                     \
-  static const uint32_t var##_name_id =                   \
-      ::neptune::Tracer::Instance().InternName(name);     \
-  ::neptune::ScopedSpan var(var##_name_id)
+// Declares a span named `var` covering the rest of the scope, traced
+// only or also timed into a histogram and its `.count`:
+//   NEPTUNE_TRACE_SPAN(span, "ham.lock.shared_wait");
+//   NEPTUNE_TRACE_SPAN(op_span, "ham.openNode", "ham.op.node");
+// The static SpanSite makes the lookups a one-time cost per site.
+#define NEPTUNE_TRACE_SPAN(var, ...)                                   \
+  static const ::neptune::SpanSite var##_site(__VA_ARGS__);            \
+  ::neptune::ScopedSpan var(var##_site.name_id, var##_site.histogram,  \
+                            var##_site.count)
 
 // Same, but the span adopts (or self-roots from) a remote context.
 #define NEPTUNE_TRACE_SPAN_REMOTE(var, name, remote)      \
-  static const uint32_t var##_name_id =                   \
-      ::neptune::Tracer::Instance().InternName(name);     \
-  ::neptune::ScopedSpan var(var##_name_id, (remote))
+  static const ::neptune::SpanSite var##_site(name);      \
+  ::neptune::ScopedSpan var(var##_site.name_id, (remote))
 
 }  // namespace neptune
 

@@ -749,46 +749,50 @@ Result<SubGraph> GraphState::Linearize(ThreadId thread, const TxnOverlay* txn,
   std::set<NodeIndex> visited;
   std::set<LinkIndex> emitted_links;
 
-  // Recursive DFS via explicit lambda (graphs can be cyclic).
-  std::function<void(const NodeRecord&)> visit =
-      [&](const NodeRecord& node) {
-        visited.insert(node.index);
-        out.nodes.push_back(SubGraphNode{
-            node.index,
-            AttributeValuesFor(node.attributes, node_attrs, time)});
-        // Out-links "ordered by the links' offsets within the node".
-        struct Candidate {
-          uint64_t position;
-          LinkIndex link;
-        };
-        std::vector<Candidate> candidates;
-        for (LinkIndex index : node.out_links) {
-          const LinkRecord* link = FindLink(thread, txn, index);
-          if (link == nullptr || !link->ExistsAt(time)) continue;
-          candidates.push_back(
-              Candidate{link->from.PositionAt(time), index});
-        }
-        std::sort(candidates.begin(), candidates.end(),
-                  [](const Candidate& a, const Candidate& b) {
-                    return a.position != b.position ? a.position < b.position
-                                                    : a.link < b.link;
-                  });
-        for (const Candidate& c : candidates) {
-          const LinkRecord* link = FindLink(thread, txn, c.link);
-          if (!link_match.Matches(link->attributes)) continue;
-          const NodeRecord* target = FindNode(thread, txn, link->to.node);
-          if (target == nullptr || !target->ExistsAt(time)) continue;
-          if (!node_match.Matches(target->attributes)) continue;
-          // The link connects two result nodes: emit it (once).
-          if (emitted_links.insert(c.link).second) {
-            out.links.push_back(SubGraphLink{
-                c.link, link->from.node, link->to.node,
-                AttributeValuesFor(link->attributes, link_attrs, time)});
-          }
-          if (visited.count(target->index) == 0) visit(*target);
-        }
-      };
-  visit(*start_node);
+  // Depth-first, on an explicit stack so a long chain cannot overflow
+  // the thread's stack (graphs can be cyclic; `visited` cuts cycles).
+  // A frame is a visited node's out-links "ordered by the links'
+  // offsets within the node" as (offset, link) pairs, and the next one
+  // to follow.
+  struct Frame {
+    std::vector<std::pair<uint64_t, LinkIndex>> links;
+    size_t next = 0;
+  };
+  std::vector<Frame> stack;
+  auto enter = [&](const NodeRecord& node) {
+    visited.insert(node.index);
+    out.nodes.push_back(SubGraphNode{
+        node.index, AttributeValuesFor(node.attributes, node_attrs, time)});
+    Frame frame;
+    for (LinkIndex index : node.out_links) {
+      const LinkRecord* link = FindLink(thread, txn, index);
+      if (link == nullptr || !link->ExistsAt(time)) continue;
+      frame.links.emplace_back(link->from.PositionAt(time), index);
+    }
+    std::sort(frame.links.begin(), frame.links.end());
+    stack.push_back(std::move(frame));
+  };
+  enter(*start_node);
+  while (!stack.empty()) {
+    Frame& frame = stack.back();
+    if (frame.next == frame.links.size()) {
+      stack.pop_back();
+      continue;
+    }
+    const LinkIndex index = frame.links[frame.next++].second;
+    const LinkRecord* link = FindLink(thread, txn, index);
+    if (!link_match.Matches(link->attributes)) continue;
+    const NodeRecord* target = FindNode(thread, txn, link->to.node);
+    if (target == nullptr || !target->ExistsAt(time)) continue;
+    if (!node_match.Matches(target->attributes)) continue;
+    // The link connects two result nodes: emit it (once).
+    if (emitted_links.insert(index).second) {
+      out.links.push_back(SubGraphLink{
+          index, link->from.node, link->to.node,
+          AttributeValuesFor(link->attributes, link_attrs, time)});
+    }
+    if (visited.count(target->index) == 0) enter(*target);
+  }
   return out;
 }
 

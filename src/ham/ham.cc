@@ -19,6 +19,13 @@ namespace {
 
 constexpr char kMetaMagic[] = "NEPMETA1";  // 8 bytes
 
+// The graph lock, exclusive; the wait gets its own span so a writer
+// stalled behind readers shows up as lock time, not op time.
+std::unique_lock<std::shared_mutex> LockExclusive(std::shared_mutex& mu) {
+  NEPTUNE_TRACE_SPAN(span, "ham.lock.exclusive_wait");
+  return std::unique_lock<std::shared_mutex>(mu);
+}
+
 // First whitespace-delimited word of a demon value — the registry key.
 std::string DemonCallbackName(const std::string& demon) {
   size_t end = demon.find(' ');
@@ -274,8 +281,7 @@ Result<ProjectId> Ham::ReadProjectId(Env* env, const std::string& dir) {
 
 Result<CreateGraphResult> Ham::CreateGraph(const std::string& directory,
                                            uint32_t protections) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.createGraph");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.graph");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.createGraph", "ham.op.graph");
   NEPTUNE_RETURN_IF_ERROR(RejectIfFollower());
   // A fresh graph: logical time 1 is its creation instant.
   GraphState state;
@@ -303,8 +309,7 @@ Result<CreateGraphResult> Ham::CreateGraph(const std::string& directory,
 }
 
 Status Ham::DestroyGraph(ProjectId project, const std::string& directory) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.destroyGraph");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.graph");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.destroyGraph", "ham.op.graph");
   NEPTUNE_RETURN_IF_ERROR(RejectIfFollower());
   {
     std::lock_guard<std::mutex> lock(registry_mu_);
@@ -388,8 +393,7 @@ Result<std::shared_ptr<Ham::GraphHandle>> Ham::LoadGraph(
 
 Result<Context> Ham::OpenGraph(ProjectId project, const std::string& machine,
                                const std::string& directory) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.openGraph");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.graph");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.openGraph", "ham.op.graph");
   (void)machine;  // addressing is the RPC layer's concern
   NEPTUNE_ASSIGN_OR_RETURN(std::shared_ptr<GraphHandle> graph,
                            LoadGraph(directory));
@@ -397,20 +401,8 @@ Result<Context> Ham::OpenGraph(ProjectId project, const std::string& machine,
     return Status::PermissionDenied("ProjectId does not match the graph in " +
                                     directory);
   }
-  auto session = std::make_shared<Session>();
-  session->graph = graph;
-  session->time = time_;
-  session->last_touch_us.store(time_->NowMicros(), std::memory_order_relaxed);
-  GraphHandle* handle = graph.get();
-  uint64_t id = 0;
-  {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    id = next_session_++;
-    session->id = id;
-    sessions_[id] = std::move(session);
-    handle->open_sessions++;
-  }
-  MetricsRegistry::Instance().GetGauge("server.sessions.active")->Increment();
+  GraphHandle* handle = graph.get();  // `graph` keeps it alive below
+  const Context opened = AddSession(graph, kMainThread);
   // "This operation can trigger a demon."
   Time now = 0;
   {
@@ -418,12 +410,29 @@ Result<Context> Ham::OpenGraph(ProjectId project, const std::string& machine,
     now = handle->state.clock().Last();
   }
   FireEventDemons(handle, kMainThread, Event::kOpenGraph, 0, 0, now);
+  return opened;
+}
+
+Context Ham::AddSession(std::shared_ptr<GraphHandle> graph, ThreadId thread) {
+  auto session = std::make_shared<Session>();
+  session->thread = thread;
+  session->time = time_;
+  session->last_touch_us.store(time_->NowMicros(), std::memory_order_relaxed);
+  session->graph = std::move(graph);
+  uint64_t id = 0;
+  {
+    std::lock_guard<std::mutex> lock(registry_mu_);
+    id = next_session_++;
+    session->id = id;
+    session->graph->open_sessions++;
+    sessions_[id] = std::move(session);
+  }
+  MetricsRegistry::Instance().GetGauge("server.sessions.active")->Increment();
   return Context{id};
 }
 
 Status Ham::CloseGraph(Context ctx) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.closeGraph");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.graph");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.closeGraph", "ham.op.graph");
   std::shared_ptr<Session> session;
   {
     std::lock_guard<std::mutex> lock(registry_mu_);
@@ -490,8 +499,7 @@ void Ham::ReleaseWriter(GraphHandle* graph, uint64_t session) {
 // ----------------------------------------------------------- transactions
 
 Status Ham::BeginTransaction(Context ctx) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.beginTransaction");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.txn");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.beginTransaction", "ham.op.txn");
   NEPTUNE_RETURN_IF_ERROR(RejectIfFollower());
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
   if (session->in_txn) {
@@ -545,8 +553,7 @@ Status Ham::CommitLocked(GraphHandle* graph, Session* session) {
 }
 
 Status Ham::CommitTransaction(Context ctx) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.commitTransaction");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.txn");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.commitTransaction", "ham.op.txn");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
   if (session->lease_aborted) {
     session->lease_aborted = false;
@@ -560,11 +567,7 @@ Status Ham::CommitTransaction(Context ctx) {
   std::vector<Op> committed;
   Status status;
   {
-    std::unique_lock<std::shared_mutex> lock(graph->mu, std::defer_lock);
-    {
-      NEPTUNE_TRACE_SPAN(lock_span, "ham.lock.exclusive_wait");
-      lock.lock();
-    }
+    std::unique_lock<std::shared_mutex> lock = LockExclusive(graph->mu);
     status = CommitLocked(graph, session.get());
     if (status.ok()) committed = std::move(session->ops);
     session->ops.clear();
@@ -583,8 +586,7 @@ Status Ham::CommitTransaction(Context ctx) {
 }
 
 Status Ham::AbortTransaction(Context ctx) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.abortTransaction");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.txn");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.abortTransaction", "ham.op.txn");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
   if (session->lease_aborted) {
     // The watchdog already did the work; the client's abort succeeds.
@@ -602,7 +604,7 @@ Status Ham::AbortTransaction(Context ctx) {
   return Status::OK();
 }
 
-Status Ham::Execute(Session* session, uint64_t session_id, Op* op) {
+Status Ham::Execute(Session* session, Op* op) {
   NEPTUNE_RETURN_IF_ERROR(RejectIfFollower());
   if (session->lease_aborted) {
     // Refuse to silently fold what the client believes is transaction
@@ -614,11 +616,7 @@ Status Ham::Execute(Session* session, uint64_t session_id, Op* op) {
   GraphHandle* graph = session->graph.get();
   op->thread = session->thread;
   if (session->in_txn) {
-    std::unique_lock<std::shared_mutex> lock(graph->mu, std::defer_lock);
-    {
-      NEPTUNE_TRACE_SPAN(lock_span, "ham.lock.exclusive_wait");
-      lock.lock();
-    }
+    std::unique_lock<std::shared_mutex> lock = LockExclusive(graph->mu);
     op->time = graph->state.clock().Tick();
     NEPTUNE_RETURN_IF_ERROR(graph->state.Apply(*op, &session->overlay));
     session->ops.push_back(*op);
@@ -634,7 +632,6 @@ Status Ham::Execute(Session* session, uint64_t session_id, Op* op) {
       lock.lock();
       graph->writer_cv.wait(lock, [&] { return graph->writer_session == 0; });
     }
-    (void)session_id;
     op->time = graph->state.clock().Tick();
     Status apply_status = graph->state.Apply(*op, &session->overlay);
     if (!apply_status.ok()) {

@@ -14,6 +14,7 @@
 #include <shared_mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -350,8 +351,9 @@ class Ham final : public HamInterface {
   // (in_txn/overlay/ops/lease_aborted) is guarded by op_mu: normally
   // only the session's connection thread touches it, but the lease
   // watchdog may abort an expired transaction from its own thread.
-  // op_mu is recursive because some operations call others on the same
-  // context (copyLink invokes addLink).
+  // op_mu is recursive because a demon fired inside an operation may
+  // call back into the engine on the same context (the CASE compile
+  // demon does).
   struct Session {
     uint64_t id = 0;
     std::shared_ptr<GraphHandle> graph;
@@ -393,6 +395,57 @@ class Ham final : public HamInterface {
   };
 
   Result<LockedSession> FindSession(Context ctx);
+  // Registers a new session on `graph` reading `thread`.
+  Context AddSession(std::shared_ptr<GraphHandle> graph, ThreadId thread);
+
+  // What every read op holds after FindSession: the graph lock, shared
+  // (its wait traced as ham.lock.shared_wait), and the overlay of the
+  // session's open transaction (null outside one), so a read sees the
+  // session's own staged writes.
+  struct ReadScope {
+    explicit ReadScope(const LockedSession& session);
+
+    ThreadId thread;
+    GraphHandle* graph;
+    std::shared_lock<std::shared_mutex> lock;
+    const GraphState::TxnOverlay* overlay;
+
+    const GraphState& state() const { return graph->state; }
+    const NodeRecord* FindNode(NodeIndex node) const {
+      return graph->state.FindNode(thread, overlay, node);
+    }
+    const LinkRecord* FindLink(LinkIndex link) const {
+      return graph->state.FindLink(thread, overlay, link);
+    }
+    // FindNode or FindLink, for bodies shared by node/link twins.
+    template <typename Record>
+    const Record* Find(uint64_t index) const {
+      if constexpr (std::is_same_v<Record, NodeRecord>) {
+        return FindNode(index);
+      } else {
+        return FindLink(index);
+      }
+    }
+  };
+
+  // One body per node/link twin (Record is NodeRecord or LinkRecord);
+  // the public ops add only their span.
+  template <typename Record>
+  Status SetEntityAttribute(Context ctx, uint64_t index, AttributeIndex attr,
+                            const std::string& value);
+  template <typename Record>
+  Result<std::string> GetEntityAttribute(Context ctx, uint64_t index,
+                                         AttributeIndex attr, Time time);
+  template <typename Record>
+  Result<std::vector<AttributeValueEntry>> GetEntityAttributes(
+      Context ctx, uint64_t index, Time time);
+  // getToNode and getFromNode.
+  Result<LinkEndResult> GetLinkEnd(Context ctx, LinkIndex link, Time time,
+                                   bool source_end);
+  // addLink's body without its span, shared with copyLink so one
+  // copyLink is one structure op.
+  Result<AddLinkResult> InsertLink(Session* session, const LinkPt& from,
+                                   const LinkPt& to);
 
   // Lease watchdog: periodically force-aborts transactions whose
   // session lease expired (see HamOptions::txn_lease_ms).
@@ -410,7 +463,7 @@ class Ham final : public HamInterface {
   // single-op transaction when none is active. On success the op is
   // recorded for the WAL (implicit transactions commit immediately)
   // and op->time carries the assigned timestamp.
-  Status Execute(Session* session, uint64_t session_id, Op* op);
+  Status Execute(Session* session, Op* op);
 
   // Applies the commit protocol: WAL append, fold overlay, demons.
   Status CommitLocked(GraphHandle* graph, Session* session);

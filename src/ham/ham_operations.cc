@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <mutex>
 #include <shared_mutex>
+#include <type_traits>
 
 #include "ham/ham.h"
 
@@ -15,25 +16,6 @@ namespace neptune {
 namespace ham {
 
 namespace {
-
-// Shared (reader) acquisition of the per-graph lock: read-only
-// operations run in parallel across server threads, while Execute,
-// commits, checkpoints and other mutators still take the mutex
-// exclusively. Counted so deployments can see read concurrency.
-class SharedReadLock {
- public:
-  explicit SharedReadLock(std::shared_mutex& mu)
-      : lock_(mu, std::defer_lock) {
-    // The wait (if any) gets its own span so a read stalled behind a
-    // writer shows up as lock time, not op time.
-    NEPTUNE_TRACE_SPAN(span, "ham.lock.shared_wait");
-    lock_.lock();
-    NEPTUNE_METRIC_COUNT("ham.read.shared_lock", 1);
-  }
-
- private:
-  std::shared_lock<std::shared_mutex> lock_;
-};
 
 bool NodeCanRead(uint32_t protections) { return (protections & 0444) != 0; }
 
@@ -51,11 +33,14 @@ Status CheckEvent(Event event) {
 
 // Validates that every requested attribute index is defined.
 Status ValidateAttrRequest(const AttributeTable& table,
-                           const std::vector<AttributeIndex>& attrs) {
-  for (AttributeIndex attr : attrs) {
-    if (!table.ExistedAt(attr, 0)) {
-      return Status::NotFound("attribute index " + std::to_string(attr) +
-                              " is not defined");
+                           const std::vector<AttributeIndex>& attrs,
+                           const std::vector<AttributeIndex>& more = {}) {
+  for (const std::vector<AttributeIndex>* list : {&attrs, &more}) {
+    for (AttributeIndex attr : *list) {
+      if (!table.ExistedAt(attr, 0)) {
+        return Status::NotFound("attribute index " + std::to_string(attr) +
+                                " is not defined");
+      }
     }
   }
   return Status::OK();
@@ -76,13 +61,39 @@ Status LimitExceeded(std::string what) {
   return Status::InvalidArgument(std::move(what));
 }
 
+Status NodeNotFound(NodeIndex node) {
+  return Status::NotFound("node " + std::to_string(node) + " does not exist");
+}
+
+// "node 7 does not exist at time 3" / "link 7 ...".
+Status NotFoundAt(std::string_view entity, uint64_t index, Time time) {
+  return Status::NotFound(std::string(entity) + " " + std::to_string(index) +
+                          " does not exist at time " + std::to_string(time));
+}
+
+// "node" or "link", in the messages of the node/link twin ops.
+template <typename Record>
+constexpr std::string_view kEntityName =
+    std::is_same_v<Record, NodeRecord> ? "node" : "link";
+
 }  // namespace
+
+Ham::ReadScope::ReadScope(const LockedSession& session)
+    : thread(session->thread),
+      graph(session->graph.get()),
+      lock(graph->mu, std::defer_lock),
+      overlay(session->in_txn ? &session->overlay : nullptr) {
+  {
+    NEPTUNE_TRACE_SPAN(span, "ham.lock.shared_wait");
+    lock.lock();
+  }
+  NEPTUNE_METRIC_COUNT("ham.read.shared_lock", 1);
+}
 
 // ----------------------------------------------------- A.1 structure
 
 Result<AddNodeResult> Ham::AddNode(Context ctx, bool keep_history) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.addNode");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.structure");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.addNode", "ham.op.structure");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
   GraphHandle* graph = session->graph.get();
   Op op;
@@ -92,25 +103,28 @@ Result<AddNodeResult> Ham::AddNode(Context ctx, bool keep_history) {
     std::lock_guard<std::shared_mutex> lock(graph->mu);
     op.node = graph->state.AllocateNodeIndex();
   }
-  NEPTUNE_RETURN_IF_ERROR(Execute(session.get(), ctx.session, &op));
+  NEPTUNE_RETURN_IF_ERROR(Execute(session.get(), &op));
   return AddNodeResult{op.node, op.time};
 }
 
 Status Ham::DeleteNode(Context ctx, NodeIndex node) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.deleteNode");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.structure");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.deleteNode", "ham.op.structure");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
   Op op;
   op.kind = OpKind::kDeleteNode;
   op.node = node;
-  return Execute(session.get(), ctx.session, &op);
+  return Execute(session.get(), &op);
 }
 
 Result<AddLinkResult> Ham::AddLink(Context ctx, const LinkPt& from,
                                    const LinkPt& to) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.addLink");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.structure");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.addLink", "ham.op.structure");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
+  return InsertLink(session.get(), from, to);
+}
+
+Result<AddLinkResult> Ham::InsertLink(Session* session, const LinkPt& from,
+                                      const LinkPt& to) {
   GraphHandle* graph = session->graph.get();
   Op op;
   op.kind = OpKind::kAddLink;
@@ -120,50 +134,41 @@ Result<AddLinkResult> Ham::AddLink(Context ctx, const LinkPt& from,
     std::lock_guard<std::shared_mutex> lock(graph->mu);
     op.link = graph->state.AllocateLinkIndex();
   }
-  NEPTUNE_RETURN_IF_ERROR(Execute(session.get(), ctx.session, &op));
+  NEPTUNE_RETURN_IF_ERROR(Execute(session, &op));
   return AddLinkResult{op.link, op.time};
 }
 
 Result<AddLinkResult> Ham::CopyLink(Context ctx, LinkIndex link, Time time,
                                     bool copy_source, const LinkPt& other) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.copyLink");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.structure");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.copyLink", "ham.op.structure");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  GraphHandle* graph = session->graph.get();
-  LinkPt copied;
-  {
-    SharedReadLock lock(graph->mu);
-    const GraphState::TxnOverlay* overlay =
-        session->in_txn ? &session->overlay : nullptr;
-    const LinkRecord* record =
-        graph->state.FindLink(session->thread, overlay, link);
-    if (record == nullptr || !record->ExistsAt(time)) {
-      return Status::NotFound("link " + std::to_string(link) +
-                              " does not exist at time " +
-                              std::to_string(time));
-    }
-    const LinkEnd& end = copy_source ? record->from : record->to;
-    copied.node = end.node;
-    copied.position = end.PositionAt(time);
-    copied.time = end.track_current ? 0 : end.pinned_time;
-    copied.track_current = end.track_current;
+  ReadScope read(session);
+  const LinkRecord* record = read.FindLink(link);
+  if (record == nullptr || !record->ExistsAt(time)) {
+    return NotFoundAt("link", link, time);
   }
+  const LinkEnd& end = copy_source ? record->from : record->to;
+  LinkPt copied;
+  copied.node = end.node;
+  copied.position = end.PositionAt(time);
+  copied.time = end.track_current ? 0 : end.pinned_time;
+  copied.track_current = end.track_current;
+  read.lock.unlock();
   // "If Boolean has value true then the source of the new link is
   // identical to that of LinkIndex."
   if (copy_source) {
-    return AddLink(ctx, copied, other);
+    return InsertLink(session.get(), copied, other);
   }
-  return AddLink(ctx, other, copied);
+  return InsertLink(session.get(), other, copied);
 }
 
 Status Ham::DeleteLink(Context ctx, LinkIndex link) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.deleteLink");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.structure");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.deleteLink", "ham.op.structure");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
   Op op;
   op.kind = OpKind::kDeleteLink;
   op.link = link;
-  return Execute(session.get(), ctx.session, &op);
+  return Execute(session.get(), &op);
 }
 
 // -------------------------------------------------------- A.1 queries
@@ -173,33 +178,80 @@ Result<SubGraph> Ham::LinearizeGraph(
     const std::string& link_pred,
     const std::vector<AttributeIndex>& node_attrs,
     const std::vector<AttributeIndex>& link_attrs) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.linearizeGraph");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.linearizeGraph", "ham.op.query");
   if (op_span.active()) {
     op_span.Annotate("start=" + std::to_string(start) +
                      " time=" + std::to_string(time));
   }
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.query");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  NEPTUNE_ASSIGN_OR_RETURN(query::Predicate np, query::Predicate::Parse(node_pred));
-  NEPTUNE_ASSIGN_OR_RETURN(query::Predicate lp, query::Predicate::Parse(link_pred));
-  GraphHandle* graph = session->graph.get();
-  SharedReadLock lock(graph->mu);
+  NEPTUNE_ASSIGN_OR_RETURN(query::Predicate np,
+                           query::Predicate::Parse(node_pred));
+  NEPTUNE_ASSIGN_OR_RETURN(query::Predicate lp,
+                           query::Predicate::Parse(link_pred));
+  ReadScope read(session);
   NEPTUNE_RETURN_IF_ERROR(
-      ValidateAttrRequest(graph->state.attributes(), node_attrs));
-  NEPTUNE_RETURN_IF_ERROR(
-      ValidateAttrRequest(graph->state.attributes(), link_attrs));
-  const GraphState::TxnOverlay* overlay =
-      session->in_txn ? &session->overlay : nullptr;
-  return graph->state.Linearize(session->thread, overlay, start, time, np, lp,
-                                node_attrs, link_attrs);
+      ValidateAttrRequest(read.state().attributes(), node_attrs, link_attrs));
+  return read.state().Linearize(read.thread, read.overlay, start, time, np,
+                                lp, node_attrs, link_attrs);
 }
 
-namespace {
+Result<SubGraph> Ham::GetGraphQuery(
+    Context ctx, Time time, const std::string& node_pred,
+    const std::string& link_pred,
+    const std::vector<AttributeIndex>& node_attrs,
+    const std::vector<AttributeIndex>& link_attrs) {
+  NEPTUNE_ASSIGN_OR_RETURN(
+      QueryExplain out,
+      GetGraphQueryExplained(ctx, time, node_pred, link_pred, node_attrs,
+                             link_attrs, QueryOptions()));
+  return std::move(out.graph);
+}
 
-// One bookkeeping path for both query entry points: bumps the
-// query.plan.* / query.index.* counters and annotates the op span
-// with the chosen plan.
-void RecordQueryPlan(const QueryPlan& plan, ScopedSpan& span) {
+Result<QueryExplain> Ham::GetGraphQueryExplained(
+    Context ctx, Time time, const std::string& node_pred,
+    const std::string& link_pred,
+    const std::vector<AttributeIndex>& node_attrs,
+    const std::vector<AttributeIndex>& link_attrs,
+    const QueryOptions& options) {
+  NEPTUNE_TRACE_SPAN(op_span, "ham.getGraphQuery", "ham.op.query");
+  NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
+  NEPTUNE_ASSIGN_OR_RETURN(query::Predicate np,
+                           query::Predicate::Parse(node_pred));
+  NEPTUNE_ASSIGN_OR_RETURN(query::Predicate lp,
+                           query::Predicate::Parse(link_pred));
+  ReadScope read(session);
+  NEPTUNE_RETURN_IF_ERROR(
+      ValidateAttrRequest(read.state().attributes(), node_attrs, link_attrs));
+  QueryExplain out;
+  NEPTUNE_ASSIGN_OR_RETURN(
+      out.graph,
+      read.state().Query(read.thread, read.overlay, time, np, lp,
+                         node_attrs, link_attrs, &out.plan,
+                         options.force_scan));
+  if (options.verify && !options.force_scan) {
+    // Re-run as a scan under the SAME shared lock — no writer can
+    // commit in between, so any divergence is an index bug, not a
+    // race with a concurrent mutation.
+    NEPTUNE_ASSIGN_OR_RETURN(
+        SubGraph scanned,
+        read.state().Query(read.thread, read.overlay, time, np, lp,
+                           node_attrs, link_attrs, nullptr,
+                           /*force_scan=*/true));
+    auto same_node = [](const SubGraphNode& a, const SubGraphNode& b) {
+      return a.node == b.node;
+    };
+    auto same_link = [](const SubGraphLink& a, const SubGraphLink& b) {
+      return a.link == b.link;
+    };
+    out.plan.verified = true;
+    out.plan.verify_match =
+        std::equal(scanned.nodes.begin(), scanned.nodes.end(),
+                   out.graph.nodes.begin(), out.graph.nodes.end(), same_node) &&
+        std::equal(scanned.links.begin(), scanned.links.end(),
+                   out.graph.links.begin(), out.graph.links.end(), same_link);
+  }
+  // The query.plan.* / query.index.* counters and the span annotation.
+  const QueryPlan& plan = out.plan;
   switch (plan.kind) {
     case QueryPlan::Kind::kIndex:
       NEPTUNE_METRIC_COUNT("query.plan.index", 1);
@@ -217,92 +269,11 @@ void RecordQueryPlan(const QueryPlan& plan, ScopedSpan& span) {
   if (plan.rebuilt) {
     NEPTUNE_METRIC_COUNT("query.index.rebuilds", 1);
   }
-  if (span.active()) {
-    span.Annotate("query.plan=" + std::string(QueryPlanKindName(plan.kind)) +
-                  " candidates=" + std::to_string(plan.candidates) +
-                  " residual=" + std::to_string(plan.residual_evals));
+  if (op_span.active()) {
+    op_span.Annotate("query.plan=" + std::string(QueryPlanKindName(plan.kind)) +
+                     " candidates=" + std::to_string(plan.candidates) +
+                     " residual=" + std::to_string(plan.residual_evals));
   }
-}
-
-}  // namespace
-
-Result<SubGraph> Ham::GetGraphQuery(
-    Context ctx, Time time, const std::string& node_pred,
-    const std::string& link_pred,
-    const std::vector<AttributeIndex>& node_attrs,
-    const std::vector<AttributeIndex>& link_attrs) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.getGraphQuery");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.query");
-  NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  NEPTUNE_ASSIGN_OR_RETURN(query::Predicate np, query::Predicate::Parse(node_pred));
-  NEPTUNE_ASSIGN_OR_RETURN(query::Predicate lp, query::Predicate::Parse(link_pred));
-  GraphHandle* graph = session->graph.get();
-  SharedReadLock lock(graph->mu);
-  NEPTUNE_RETURN_IF_ERROR(
-      ValidateAttrRequest(graph->state.attributes(), node_attrs));
-  NEPTUNE_RETURN_IF_ERROR(
-      ValidateAttrRequest(graph->state.attributes(), link_attrs));
-  const GraphState::TxnOverlay* overlay =
-      session->in_txn ? &session->overlay : nullptr;
-  QueryPlan plan;
-  auto result = graph->state.Query(session->thread, overlay, time, np, lp,
-                                   node_attrs, link_attrs, &plan);
-  if (result.ok()) RecordQueryPlan(plan, op_span);
-  return result;
-}
-
-Result<QueryExplain> Ham::GetGraphQueryExplained(
-    Context ctx, Time time, const std::string& node_pred,
-    const std::string& link_pred,
-    const std::vector<AttributeIndex>& node_attrs,
-    const std::vector<AttributeIndex>& link_attrs,
-    const QueryOptions& options) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.getGraphQuery");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.query");
-  NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  NEPTUNE_ASSIGN_OR_RETURN(query::Predicate np, query::Predicate::Parse(node_pred));
-  NEPTUNE_ASSIGN_OR_RETURN(query::Predicate lp, query::Predicate::Parse(link_pred));
-  GraphHandle* graph = session->graph.get();
-  SharedReadLock lock(graph->mu);
-  NEPTUNE_RETURN_IF_ERROR(
-      ValidateAttrRequest(graph->state.attributes(), node_attrs));
-  NEPTUNE_RETURN_IF_ERROR(
-      ValidateAttrRequest(graph->state.attributes(), link_attrs));
-  const GraphState::TxnOverlay* overlay =
-      session->in_txn ? &session->overlay : nullptr;
-  QueryExplain out;
-  NEPTUNE_ASSIGN_OR_RETURN(
-      out.graph,
-      graph->state.Query(session->thread, overlay, time, np, lp, node_attrs,
-                         link_attrs, &out.plan, options.force_scan));
-  if (options.verify && !options.force_scan) {
-    // Re-run as a scan under the SAME shared lock — no writer can
-    // commit in between, so any divergence is an index bug, not a
-    // race with a concurrent mutation.
-    NEPTUNE_ASSIGN_OR_RETURN(
-        SubGraph scanned,
-        graph->state.Query(session->thread, overlay, time, np, lp, node_attrs,
-                           link_attrs, nullptr, /*force_scan=*/true));
-    out.plan.verified = true;
-    out.plan.verify_match =
-        scanned.nodes.size() == out.graph.nodes.size() &&
-        scanned.links.size() == out.graph.links.size();
-    if (out.plan.verify_match) {
-      for (size_t i = 0; i < scanned.nodes.size(); ++i) {
-        if (scanned.nodes[i].node != out.graph.nodes[i].node) {
-          out.plan.verify_match = false;
-          break;
-        }
-      }
-      for (size_t i = 0; out.plan.verify_match && i < scanned.links.size();
-           ++i) {
-        if (scanned.links[i].link != out.graph.links[i].link) {
-          out.plan.verify_match = false;
-        }
-      }
-    }
-  }
-  RecordQueryPlan(out.plan, op_span);
   return out;
 }
 
@@ -311,52 +282,43 @@ Result<QueryExplain> Ham::GetGraphQueryExplained(
 Result<OpenNodeResult> Ham::OpenNode(
     Context ctx, NodeIndex node, Time time,
     const std::vector<AttributeIndex>& attrs) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.openNode");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.openNode", "ham.op.node");
   if (op_span.active()) {
     op_span.Annotate("node=" + std::to_string(node) +
                      " time=" + std::to_string(time));
   }
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.node");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  GraphHandle* graph = session->graph.get();
+  ReadScope read(session);
+  NEPTUNE_RETURN_IF_ERROR(
+      ValidateAttrRequest(read.state().attributes(), attrs));
+  const NodeRecord* record = read.FindNode(node);
+  if (record == nullptr || !record->ExistsAt(time)) {
+    return NotFoundAt("node", node, time);
+  }
+  if (!NodeCanRead(record->protections)) {
+    return Status::PermissionDenied("node " + std::to_string(node) +
+                                    " is read-protected");
+  }
   OpenNodeResult out;
-  {
-    SharedReadLock lock(graph->mu);
-    NEPTUNE_RETURN_IF_ERROR(
-        ValidateAttrRequest(graph->state.attributes(), attrs));
-    const GraphState::TxnOverlay* overlay =
-        session->in_txn ? &session->overlay : nullptr;
-    const NodeRecord* record =
-        graph->state.FindNode(session->thread, overlay, node);
-    if (record == nullptr || !record->ExistsAt(time)) {
-      return Status::NotFound("node " + std::to_string(node) +
-                              " does not exist at time " +
-                              std::to_string(time));
-    }
-    if (!NodeCanRead(record->protections)) {
-      return Status::PermissionDenied("node " + std::to_string(node) +
-                                      " is read-protected");
-    }
-    NEPTUNE_ASSIGN_OR_RETURN(out.contents, record->contents.Get(time));
-    out.current_version_time = record->contents.CurrentTime();
-    out.attribute_values =
-        graph->state.AttributeValuesFor(record->attributes, attrs, time);
-    // LinkPt* for the requested version: live attachments at `time`.
-    for (bool source_end : {true, false}) {
-      const std::vector<LinkIndex>& list =
-          source_end ? record->out_links : record->in_links;
-      for (LinkIndex index : list) {
-        const LinkRecord* link =
-            graph->state.FindLink(session->thread, overlay, index);
-        if (link == nullptr || !link->ExistsAt(time)) continue;
-        const LinkEnd& end = source_end ? link->from : link->to;
-        out.attachments.push_back(Attachment{
-            index, source_end, end.PositionAt(time), end.track_current});
-      }
+  NEPTUNE_ASSIGN_OR_RETURN(out.contents, record->contents.Get(time));
+  out.current_version_time = record->contents.CurrentTime();
+  out.attribute_values =
+      read.state().AttributeValuesFor(record->attributes, attrs, time);
+  // LinkPt* for the requested version: live attachments at `time`.
+  for (bool source_end : {true, false}) {
+    const std::vector<LinkIndex>& list =
+        source_end ? record->out_links : record->in_links;
+    for (LinkIndex index : list) {
+      const LinkRecord* link = read.FindLink(index);
+      if (link == nullptr || !link->ExistsAt(time)) continue;
+      const LinkEnd& end = source_end ? link->from : link->to;
+      out.attachments.push_back(Attachment{
+          index, source_end, end.PositionAt(time), end.track_current});
     }
   }
+  read.lock.unlock();
   // "This operation can trigger a demon."
-  FireEventDemons(graph, session->thread, Event::kOpenNode, node, 0,
+  FireEventDemons(read.graph, read.thread, Event::kOpenNode, node, 0,
                   out.current_version_time);
   return out;
 }
@@ -365,12 +327,11 @@ Status Ham::ModifyNode(Context ctx, NodeIndex node, Time expected_time,
                        const std::string& contents,
                        const std::vector<AttachmentUpdate>& attachments,
                        const std::string& explanation) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.modifyNode");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.modifyNode", "ham.op.node");
   if (op_span.active()) {
     op_span.Annotate("node=" + std::to_string(node) +
                      " bytes=" + std::to_string(contents.size()));
   }
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.node");
   if (options_.max_node_content_bytes > 0 &&
       contents.size() > options_.max_node_content_bytes) {
     return LimitExceeded(
@@ -395,51 +356,38 @@ Status Ham::ModifyNode(Context ctx, NodeIndex node, Time expected_time,
     pt.position = att.position;
     op.attachments.push_back(pt);
   }
-  return Execute(session.get(), ctx.session, &op);
+  return Execute(session.get(), &op);
 }
 
 Result<Time> Ham::GetNodeTimeStamp(Context ctx, NodeIndex node) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.getNodeTimeStamp");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.node");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.getNodeTimeStamp", "ham.op.node");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  GraphHandle* graph = session->graph.get();
-  SharedReadLock lock(graph->mu);
-  const GraphState::TxnOverlay* overlay =
-      session->in_txn ? &session->overlay : nullptr;
-  const NodeRecord* record =
-      graph->state.FindNode(session->thread, overlay, node);
+  ReadScope read(session);
+  const NodeRecord* record = read.FindNode(node);
   if (record == nullptr || !record->ExistsAt(0)) {
-    return Status::NotFound("node " + std::to_string(node) +
-                            " does not exist");
+    return NodeNotFound(node);
   }
   return record->contents.CurrentTime();
 }
 
 Status Ham::ChangeNodeProtection(Context ctx, NodeIndex node,
                                  uint32_t protections) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.changeNodeProtection");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.node");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.changeNodeProtection", "ham.op.node");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
   Op op;
   op.kind = OpKind::kChangeNodeProtection;
   op.node = node;
   op.arg = protections;
-  return Execute(session.get(), ctx.session, &op);
+  return Execute(session.get(), &op);
 }
 
 Result<NodeVersions> Ham::GetNodeVersions(Context ctx, NodeIndex node) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.getNodeVersions");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.node");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.getNodeVersions", "ham.op.node");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  GraphHandle* graph = session->graph.get();
-  SharedReadLock lock(graph->mu);
-  const GraphState::TxnOverlay* overlay =
-      session->in_txn ? &session->overlay : nullptr;
-  const NodeRecord* record =
-      graph->state.FindNode(session->thread, overlay, node);
+  ReadScope read(session);
+  const NodeRecord* record = read.FindNode(node);
   if (record == nullptr) {
-    return Status::NotFound("node " + std::to_string(node) +
-                            " does not exist");
+    return NodeNotFound(node);
   }
   NodeVersions out;
   for (const auto& v : record->contents.versions()) {
@@ -453,17 +401,12 @@ Result<std::vector<delta::Difference>> Ham::GetNodeDifferences(Context ctx,
                                                                NodeIndex node,
                                                                Time t1,
                                                                Time t2) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.getNodeDifferences");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.getNodeDifferences", "ham.op.node");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  GraphHandle* graph = session->graph.get();
-  SharedReadLock lock(graph->mu);
-  const GraphState::TxnOverlay* overlay =
-      session->in_txn ? &session->overlay : nullptr;
-  const NodeRecord* record =
-      graph->state.FindNode(session->thread, overlay, node);
+  ReadScope read(session);
+  const NodeRecord* record = read.FindNode(node);
   if (record == nullptr) {
-    return Status::NotFound("node " + std::to_string(node) +
-                            " does not exist");
+    return NodeNotFound(node);
   }
   NEPTUNE_ASSIGN_OR_RETURN(std::string old_contents, record->contents.Get(t1));
   NEPTUNE_ASSIGN_OR_RETURN(std::string new_contents, record->contents.Get(t2));
@@ -473,50 +416,26 @@ Result<std::vector<delta::Difference>> Ham::GetNodeDifferences(Context ctx,
 // --------------------------------------------------------- A.3 links
 
 Result<LinkEndResult> Ham::GetToNode(Context ctx, LinkIndex link, Time time) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.getToNode");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.link");
-  NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  GraphHandle* graph = session->graph.get();
-  SharedReadLock lock(graph->mu);
-  const GraphState::TxnOverlay* overlay =
-      session->in_txn ? &session->overlay : nullptr;
-  const LinkRecord* record =
-      graph->state.FindLink(session->thread, overlay, link);
-  if (record == nullptr || !record->ExistsAt(time)) {
-    return Status::NotFound("link " + std::to_string(link) +
-                            " does not exist at time " + std::to_string(time));
-  }
-  const LinkEnd& end = record->to;
-  const NodeRecord* node =
-      graph->state.FindNode(session->thread, overlay, end.node);
-  if (node == nullptr) {
-    return Status::Corruption("link " + std::to_string(link) +
-                              " references missing node");
-  }
-  const Time effective = end.track_current ? time : end.pinned_time;
-  NEPTUNE_ASSIGN_OR_RETURN(size_t index,
-                           node->contents.VersionIndexAt(effective));
-  return LinkEndResult{end.node, node->contents.versions()[index].time};
+  NEPTUNE_TRACE_SPAN(op_span, "ham.getToNode", "ham.op.link");
+  return GetLinkEnd(ctx, link, time, /*source_end=*/false);
 }
 
 Result<LinkEndResult> Ham::GetFromNode(Context ctx, LinkIndex link,
                                        Time time) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.getFromNode");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.link");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.getFromNode", "ham.op.link");
+  return GetLinkEnd(ctx, link, time, /*source_end=*/true);
+}
+
+Result<LinkEndResult> Ham::GetLinkEnd(Context ctx, LinkIndex link, Time time,
+                                      bool source_end) {
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  GraphHandle* graph = session->graph.get();
-  SharedReadLock lock(graph->mu);
-  const GraphState::TxnOverlay* overlay =
-      session->in_txn ? &session->overlay : nullptr;
-  const LinkRecord* record =
-      graph->state.FindLink(session->thread, overlay, link);
+  ReadScope read(session);
+  const LinkRecord* record = read.FindLink(link);
   if (record == nullptr || !record->ExistsAt(time)) {
-    return Status::NotFound("link " + std::to_string(link) +
-                            " does not exist at time " + std::to_string(time));
+    return NotFoundAt("link", link, time);
   }
-  const LinkEnd& end = record->from;
-  const NodeRecord* node =
-      graph->state.FindNode(session->thread, overlay, end.node);
+  const LinkEnd& end = source_end ? record->from : record->to;
+  const NodeRecord* node = read.FindNode(end.node);
   if (node == nullptr) {
     return Status::Corruption("link " + std::to_string(link) +
                               " references missing node");
@@ -531,33 +450,29 @@ Result<LinkEndResult> Ham::GetFromNode(Context ctx, LinkIndex link,
 
 Result<std::vector<AttributeEntry>> Ham::GetAttributes(Context ctx,
                                                        Time time) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.getAttributes");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.getAttributes", "ham.op.attribute");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  GraphHandle* graph = session->graph.get();
-  SharedReadLock lock(graph->mu);
-  return graph->state.attributes().AllAt(time);
+  ReadScope read(session);
+  return read.state().attributes().AllAt(time);
 }
 
 Result<std::vector<std::string>> Ham::GetAttributeValues(Context ctx,
                                                          AttributeIndex attr,
                                                          Time time) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.getAttributeValues");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.getAttributeValues", "ham.op.attribute");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  GraphHandle* graph = session->graph.get();
-  SharedReadLock lock(graph->mu);
-  if (!graph->state.attributes().ExistedAt(attr, time)) {
+  ReadScope read(session);
+  if (!read.state().attributes().ExistedAt(attr, time)) {
     return Status::NotFound("attribute index " + std::to_string(attr) +
                             " did not exist at time " + std::to_string(time));
   }
-  const GraphState::TxnOverlay* overlay =
-      session->in_txn ? &session->overlay : nullptr;
-  return graph->state.AttributeValuesAt(session->thread, overlay, attr, time);
+  return read.state().AttributeValuesAt(read.thread, read.overlay, attr,
+                                        time);
 }
 
 Result<AttributeIndex> Ham::GetAttributeIndex(Context ctx,
                                               const std::string& name) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.getAttributeIndex");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.attribute");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.getAttributeIndex", "ham.op.attribute");
   // Interning commits immediately and is append-only, so an oversized
   // name would be a permanent blemish — check before anything else.
   if (options_.max_attribute_name_bytes > 0 &&
@@ -567,15 +482,14 @@ Result<AttributeIndex> Ham::GetAttributeIndex(Context ctx,
         " bytes exceeds max_attribute_name_bytes=" +
         std::to_string(options_.max_attribute_name_bytes));
   }
+  // Fast path: the attribute already exists (the common case after
+  // warm-up), served under the shared lock.
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  GraphHandle* graph = session->graph.get();
-  {
-    // Fast path: the attribute already exists (the common case after
-    // warm-up), served under a shared lock.
-    SharedReadLock lock(graph->mu);
-    Result<AttributeIndex> fast = graph->state.attributes().Lookup(name);
-    if (fast.ok()) return fast;
-  }
+  ReadScope read(session);
+  Result<AttributeIndex> fast = read.state().attributes().Lookup(name);
+  if (fast.ok()) return fast;
+  read.lock.unlock();
+  GraphHandle* graph = read.graph;
   std::lock_guard<std::shared_mutex> lock(graph->mu);
   // Re-check: another session may have interned it between the locks.
   Result<AttributeIndex> existing = graph->state.attributes().Lookup(name);
@@ -587,7 +501,7 @@ Result<AttributeIndex> Ham::GetAttributeIndex(Context ctx,
   op.kind = OpKind::kInternAttribute;
   op.extra = name;
   op.attr = graph->state.attributes().next_index();
-  op.thread = session->thread;
+  op.thread = read.thread;
   op.time = graph->state.clock().Tick();
   NEPTUNE_RETURN_IF_ERROR(graph->state.Apply(op, /*txn=*/nullptr));
   NEPTUNE_RETURN_IF_ERROR(graph->store->AppendRecord(
@@ -595,11 +509,9 @@ Result<AttributeIndex> Ham::GetAttributeIndex(Context ctx,
   return op.attr;
 }
 
-Status Ham::SetNodeAttributeValue(Context ctx, NodeIndex node,
-                                  AttributeIndex attr,
-                                  const std::string& value) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.setNodeAttributeValue");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.attribute");
+template <typename Record>
+Status Ham::SetEntityAttribute(Context ctx, uint64_t index,
+                               AttributeIndex attr, const std::string& value) {
   if (options_.max_attribute_value_bytes > 0 &&
       value.size() > options_.max_attribute_value_bytes) {
     return LimitExceeded(
@@ -608,219 +520,157 @@ Status Ham::SetNodeAttributeValue(Context ctx, NodeIndex node,
         std::to_string(options_.max_attribute_value_bytes));
   }
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  if (options_.max_attrs_per_entity > 0) {
-    GraphHandle* graph = session->graph.get();
-    SharedReadLock lock(graph->mu);
-    const GraphState::TxnOverlay* overlay =
-        session->in_txn ? &session->overlay : nullptr;
-    const NodeRecord* record =
-        graph->state.FindNode(session->thread, overlay, node);
-    // Replacing an attached attribute is always allowed; only growth
-    // past the cap is refused. A missing node falls through to Execute
-    // for the canonical NotFound.
-    if (record != nullptr && !record->attributes.Get(attr, 0).has_value() &&
-        record->attributes.CountAt(0) >= options_.max_attrs_per_entity) {
-      return LimitExceeded(
-          "node " + std::to_string(node) + " already carries " +
-          std::to_string(options_.max_attrs_per_entity) +
-          " attributes (max_attrs_per_entity)");
-    }
+  ReadScope read(session);
+  const Record* record = read.Find<Record>(index);
+  // Replacing an attached attribute is always allowed; only growth past
+  // the cap is refused. A missing record falls through to Execute for
+  // the canonical NotFound.
+  if (options_.max_attrs_per_entity > 0 && record != nullptr &&
+      !record->attributes.Get(attr, 0).has_value() &&
+      record->attributes.CountAt(0) >= options_.max_attrs_per_entity) {
+    return LimitExceeded(
+        std::string(kEntityName<Record>) + " " + std::to_string(index) +
+        " already carries " + std::to_string(options_.max_attrs_per_entity) +
+        " attributes (max_attrs_per_entity)");
   }
+  read.lock.unlock();
   Op op;
-  op.kind = OpKind::kSetNodeAttribute;
-  op.node = node;
+  if constexpr (std::is_same_v<Record, NodeRecord>) {
+    op.kind = OpKind::kSetNodeAttribute;
+    op.node = index;
+  } else {
+    op.kind = OpKind::kSetLinkAttribute;
+    op.link = index;
+  }
   op.attr = attr;
   op.value = value;
-  return Execute(session.get(), ctx.session, &op);
+  return Execute(session.get(), &op);
+}
+
+template <typename Record>
+Result<std::string> Ham::GetEntityAttribute(Context ctx, uint64_t index,
+                                            AttributeIndex attr, Time time) {
+  NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
+  ReadScope read(session);
+  const Record* record = read.Find<Record>(index);
+  if (record == nullptr || !record->ExistsAt(time)) {
+    return NotFoundAt(kEntityName<Record>, index, time);
+  }
+  std::optional<std::string_view> value = record->attributes.Get(attr, time);
+  if (!value.has_value()) {
+    return Status::NotFound("attribute " + std::to_string(attr) +
+                            " is not attached to " +
+                            std::string(kEntityName<Record>) + " " +
+                            std::to_string(index) + " at time " +
+                            std::to_string(time));
+  }
+  return std::string(*value);
+}
+
+template <typename Record>
+Result<std::vector<AttributeValueEntry>> Ham::GetEntityAttributes(
+    Context ctx, uint64_t index, Time time) {
+  NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
+  ReadScope read(session);
+  const Record* record = read.Find<Record>(index);
+  if (record == nullptr || !record->ExistsAt(time)) {
+    return NotFoundAt(kEntityName<Record>, index, time);
+  }
+  std::vector<AttributeValueEntry> out;
+  for (auto& [attr, value] : record->attributes.GetAll(time)) {
+    NEPTUNE_ASSIGN_OR_RETURN(std::string name,
+                             read.state().attributes().Name(attr));
+    out.push_back(AttributeValueEntry{std::move(name), attr, std::move(value)});
+  }
+  return out;
+}
+
+Status Ham::SetNodeAttributeValue(Context ctx, NodeIndex node,
+                                  AttributeIndex attr,
+                                  const std::string& value) {
+  NEPTUNE_TRACE_SPAN(op_span, "ham.setNodeAttributeValue", "ham.op.attribute");
+  return SetEntityAttribute<NodeRecord>(ctx, node, attr, value);
 }
 
 Status Ham::DeleteNodeAttribute(Context ctx, NodeIndex node,
                                 AttributeIndex attr) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.deleteNodeAttribute");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.attribute");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.deleteNodeAttribute", "ham.op.attribute");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
   Op op;
   op.kind = OpKind::kDeleteNodeAttribute;
   op.node = node;
   op.attr = attr;
-  return Execute(session.get(), ctx.session, &op);
+  return Execute(session.get(), &op);
 }
 
 Result<std::string> Ham::GetNodeAttributeValue(Context ctx, NodeIndex node,
                                                AttributeIndex attr,
                                                Time time) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.getNodeAttributeValue");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.attribute");
-  NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  GraphHandle* graph = session->graph.get();
-  SharedReadLock lock(graph->mu);
-  const GraphState::TxnOverlay* overlay =
-      session->in_txn ? &session->overlay : nullptr;
-  const NodeRecord* record =
-      graph->state.FindNode(session->thread, overlay, node);
-  if (record == nullptr || !record->ExistsAt(time)) {
-    return Status::NotFound("node " + std::to_string(node) +
-                            " does not exist at time " + std::to_string(time));
-  }
-  std::optional<std::string_view> value = record->attributes.Get(attr, time);
-  if (!value.has_value()) {
-    return Status::NotFound("attribute " + std::to_string(attr) +
-                            " is not attached to node " +
-                            std::to_string(node) + " at time " +
-                            std::to_string(time));
-  }
-  return std::string(*value);
+  NEPTUNE_TRACE_SPAN(op_span, "ham.getNodeAttributeValue", "ham.op.attribute");
+  return GetEntityAttribute<NodeRecord>(ctx, node, attr, time);
 }
 
 Result<std::vector<AttributeValueEntry>> Ham::GetNodeAttributes(
     Context ctx, NodeIndex node, Time time) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.getNodeAttributes");
-  NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  GraphHandle* graph = session->graph.get();
-  SharedReadLock lock(graph->mu);
-  const GraphState::TxnOverlay* overlay =
-      session->in_txn ? &session->overlay : nullptr;
-  const NodeRecord* record =
-      graph->state.FindNode(session->thread, overlay, node);
-  if (record == nullptr || !record->ExistsAt(time)) {
-    return Status::NotFound("node " + std::to_string(node) +
-                            " does not exist at time " + std::to_string(time));
-  }
-  std::vector<AttributeValueEntry> out;
-  for (auto& [attr, value] : record->attributes.GetAll(time)) {
-    NEPTUNE_ASSIGN_OR_RETURN(std::string name,
-                             graph->state.attributes().Name(attr));
-    out.push_back(AttributeValueEntry{std::move(name), attr, std::move(value)});
-  }
-  return out;
+  NEPTUNE_TRACE_SPAN(op_span, "ham.getNodeAttributes", "ham.op.attribute");
+  return GetEntityAttributes<NodeRecord>(ctx, node, time);
 }
 
 Status Ham::SetLinkAttributeValue(Context ctx, LinkIndex link,
                                   AttributeIndex attr,
                                   const std::string& value) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.setLinkAttributeValue");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.attribute");
-  if (options_.max_attribute_value_bytes > 0 &&
-      value.size() > options_.max_attribute_value_bytes) {
-    return LimitExceeded(
-        "attribute value of " + std::to_string(value.size()) +
-        " bytes exceeds max_attribute_value_bytes=" +
-        std::to_string(options_.max_attribute_value_bytes));
-  }
-  NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  if (options_.max_attrs_per_entity > 0) {
-    GraphHandle* graph = session->graph.get();
-    SharedReadLock lock(graph->mu);
-    const GraphState::TxnOverlay* overlay =
-        session->in_txn ? &session->overlay : nullptr;
-    const LinkRecord* record =
-        graph->state.FindLink(session->thread, overlay, link);
-    if (record != nullptr && !record->attributes.Get(attr, 0).has_value() &&
-        record->attributes.CountAt(0) >= options_.max_attrs_per_entity) {
-      return LimitExceeded(
-          "link " + std::to_string(link) + " already carries " +
-          std::to_string(options_.max_attrs_per_entity) +
-          " attributes (max_attrs_per_entity)");
-    }
-  }
-  Op op;
-  op.kind = OpKind::kSetLinkAttribute;
-  op.link = link;
-  op.attr = attr;
-  op.value = value;
-  return Execute(session.get(), ctx.session, &op);
+  NEPTUNE_TRACE_SPAN(op_span, "ham.setLinkAttributeValue", "ham.op.attribute");
+  return SetEntityAttribute<LinkRecord>(ctx, link, attr, value);
 }
 
 Status Ham::DeleteLinkAttribute(Context ctx, LinkIndex link,
                                 AttributeIndex attr) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.deleteLinkAttribute");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.attribute");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.deleteLinkAttribute", "ham.op.attribute");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
   Op op;
   op.kind = OpKind::kDeleteLinkAttribute;
   op.link = link;
   op.attr = attr;
-  return Execute(session.get(), ctx.session, &op);
+  return Execute(session.get(), &op);
 }
 
 Result<std::string> Ham::GetLinkAttributeValue(Context ctx, LinkIndex link,
                                                AttributeIndex attr,
                                                Time time) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.getLinkAttributeValue");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.attribute");
-  NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  GraphHandle* graph = session->graph.get();
-  SharedReadLock lock(graph->mu);
-  const GraphState::TxnOverlay* overlay =
-      session->in_txn ? &session->overlay : nullptr;
-  const LinkRecord* record =
-      graph->state.FindLink(session->thread, overlay, link);
-  if (record == nullptr || !record->ExistsAt(time)) {
-    return Status::NotFound("link " + std::to_string(link) +
-                            " does not exist at time " + std::to_string(time));
-  }
-  std::optional<std::string_view> value = record->attributes.Get(attr, time);
-  if (!value.has_value()) {
-    return Status::NotFound("attribute " + std::to_string(attr) +
-                            " is not attached to link " +
-                            std::to_string(link) + " at time " +
-                            std::to_string(time));
-  }
-  return std::string(*value);
+  NEPTUNE_TRACE_SPAN(op_span, "ham.getLinkAttributeValue", "ham.op.attribute");
+  return GetEntityAttribute<LinkRecord>(ctx, link, attr, time);
 }
 
 Result<std::vector<AttributeValueEntry>> Ham::GetLinkAttributes(
     Context ctx, LinkIndex link, Time time) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.getLinkAttributes");
-  NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  GraphHandle* graph = session->graph.get();
-  SharedReadLock lock(graph->mu);
-  const GraphState::TxnOverlay* overlay =
-      session->in_txn ? &session->overlay : nullptr;
-  const LinkRecord* record =
-      graph->state.FindLink(session->thread, overlay, link);
-  if (record == nullptr || !record->ExistsAt(time)) {
-    return Status::NotFound("link " + std::to_string(link) +
-                            " does not exist at time " + std::to_string(time));
-  }
-  std::vector<AttributeValueEntry> out;
-  for (auto& [attr, value] : record->attributes.GetAll(time)) {
-    NEPTUNE_ASSIGN_OR_RETURN(std::string name,
-                             graph->state.attributes().Name(attr));
-    out.push_back(AttributeValueEntry{std::move(name), attr, std::move(value)});
-  }
-  return out;
+  NEPTUNE_TRACE_SPAN(op_span, "ham.getLinkAttributes", "ham.op.attribute");
+  return GetEntityAttributes<LinkRecord>(ctx, link, time);
 }
 
 // -------------------------------------------------------- A.5 demons
 
 Status Ham::SetGraphDemonValue(Context ctx, Event event,
                                const std::string& demon) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.setGraphDemonValue");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.demon");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.setGraphDemonValue", "ham.op.demon");
   NEPTUNE_RETURN_IF_ERROR(CheckEvent(event));
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
   Op op;
   op.kind = OpKind::kSetGraphDemon;
   op.event = event;
   op.value = demon;
-  return Execute(session.get(), ctx.session, &op);
+  return Execute(session.get(), &op);
 }
 
 Result<std::vector<DemonEntry>> Ham::GetGraphDemons(Context ctx, Time time) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.getGraphDemons");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.getGraphDemons", "ham.op.demon");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  GraphHandle* graph = session->graph.get();
-  SharedReadLock lock(graph->mu);
-  const GraphState::TxnOverlay* overlay =
-      session->in_txn ? &session->overlay : nullptr;
-  return graph->state.GraphDemons(overlay).GetAll(time);
+  ReadScope read(session);
+  return read.state().GraphDemons(read.overlay).GetAll(time);
 }
 
 Status Ham::SetNodeDemon(Context ctx, NodeIndex node, Event event,
                          const std::string& demon) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.setNodeDemon");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.demon");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.setNodeDemon", "ham.op.demon");
   NEPTUNE_RETURN_IF_ERROR(CheckEvent(event));
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
   Op op;
@@ -828,23 +678,18 @@ Status Ham::SetNodeDemon(Context ctx, NodeIndex node, Event event,
   op.node = node;
   op.event = event;
   op.value = demon;
-  return Execute(session.get(), ctx.session, &op);
+  return Execute(session.get(), &op);
 }
 
 Result<std::vector<DemonEntry>> Ham::GetNodeDemons(Context ctx,
                                                    NodeIndex node,
                                                    Time time) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.getNodeDemons");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.getNodeDemons", "ham.op.demon");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  GraphHandle* graph = session->graph.get();
-  SharedReadLock lock(graph->mu);
-  const GraphState::TxnOverlay* overlay =
-      session->in_txn ? &session->overlay : nullptr;
-  const NodeRecord* record =
-      graph->state.FindNode(session->thread, overlay, node);
+  ReadScope read(session);
+  const NodeRecord* record = read.FindNode(node);
   if (record == nullptr) {
-    return Status::NotFound("node " + std::to_string(node) +
-                            " does not exist");
+    return NodeNotFound(node);
   }
   return record->demons.GetAll(time);
 }
@@ -852,8 +697,7 @@ Result<std::vector<DemonEntry>> Ham::GetNodeDemons(Context ctx,
 // -------------------------------------- §5 extensions: contexts etc.
 
 Result<ContextInfo> Ham::CreateContext(Context ctx, const std::string& name) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.createContext");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.context");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.createContext", "ham.op.context");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
   GraphHandle* graph = session->graph.get();
   std::lock_guard<std::shared_mutex> lock(graph->mu);
@@ -871,38 +715,19 @@ Result<ContextInfo> Ham::CreateContext(Context ctx, const std::string& name) {
 }
 
 Result<Context> Ham::OpenContext(Context ctx, ThreadId thread) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.openContext");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.context");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.openContext", "ham.op.context");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  GraphHandle* graph = session->graph.get();
-  if (thread != kMainThread) {
-    SharedReadLock lock(graph->mu);
-    if (graph->state.FindThread(thread) == nullptr) {
-      return Status::NotFound("version thread " + std::to_string(thread) +
-                              " does not exist");
-    }
+  ReadScope read(session);
+  if (thread != kMainThread && read.state().FindThread(thread) == nullptr) {
+    return Status::NotFound("version thread " + std::to_string(thread) +
+                            " does not exist");
   }
-  auto new_session = std::make_shared<Session>();
-  new_session->graph = session->graph;
-  new_session->thread = thread;
-  new_session->time = time_;
-  new_session->last_touch_us.store(time_->NowMicros(),
-                                   std::memory_order_relaxed);
-  uint64_t id = 0;
-  {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    id = next_session_++;
-    new_session->id = id;
-    sessions_[id] = std::move(new_session);
-    graph->open_sessions++;
-  }
-  MetricsRegistry::Instance().GetGauge("server.sessions.active")->Increment();
-  return Context{id};
+  read.lock.unlock();
+  return AddSession(session->graph, thread);
 }
 
 Status Ham::MergeContext(Context ctx, ThreadId source, bool force) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.mergeContext");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.context");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.mergeContext", "ham.op.context");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
   if (session->in_txn) {
     return Status::FailedPrecondition(
@@ -912,20 +737,18 @@ Status Ham::MergeContext(Context ctx, ThreadId source, bool force) {
   op.kind = OpKind::kMergeContext;
   op.arg = source;
   op.flag = force;
-  return Execute(session.get(), ctx.session, &op);
+  return Execute(session.get(), &op);
 }
 
 Result<std::vector<ContextInfo>> Ham::ListContexts(Context ctx) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.listContexts");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.listContexts", "ham.op.context");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  GraphHandle* graph = session->graph.get();
-  SharedReadLock lock(graph->mu);
-  return graph->state.ListThreads();
+  ReadScope read(session);
+  return read.state().ListThreads();
 }
 
 Status Ham::Checkpoint(Context ctx) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.checkpoint");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.admin");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.checkpoint", "ham.op.admin");
   NEPTUNE_RETURN_IF_ERROR(RejectIfFollower());
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
   GraphHandle* graph = session->graph.get();
@@ -942,12 +765,10 @@ Status Ham::Checkpoint(Context ctx) {
 }
 
 Result<GraphStats> Ham::GetStats(Context ctx) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.getStats");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.admin");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.getStats", "ham.op.admin");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  GraphHandle* graph = session->graph.get();
-  SharedReadLock lock(graph->mu);
-  GraphState::Stats stats = graph->state.ComputeStats();
+  ReadScope read(session);
+  GraphState::Stats stats = read.state().ComputeStats();
   GraphStats out;
   out.node_count = stats.node_count;
   out.link_count = stats.link_count;
@@ -955,14 +776,13 @@ Result<GraphStats> Ham::GetStats(Context ctx) {
   out.total_link_records = stats.total_link_records;
   out.thread_count = stats.thread_count;
   out.attribute_count = stats.attribute_count;
-  out.wal_bytes = graph->store->wal_bytes();
-  out.current_time = graph->state.clock().Last();
+  out.wal_bytes = read.graph->store->wal_bytes();
+  out.current_time = read.state().clock().Last();
   return out;
 }
 
 Result<ThreadId> Ham::ContextThread(Context ctx) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.contextThread");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.context");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.contextThread", "ham.op.context");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
   return session->thread;
 }
@@ -970,16 +790,14 @@ Result<ThreadId> Ham::ContextThread(Context ctx) {
 // ----------------------------------------------- local administration
 
 Result<std::vector<std::string>> Ham::VerifyGraph(Context ctx) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.verifyGraph");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.verifyGraph", "ham.op.admin");
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
-  GraphHandle* graph = session->graph.get();
-  SharedReadLock lock(graph->mu);
-  return graph->state.CheckIntegrity();
+  ReadScope read(session);
+  return read.state().CheckIntegrity();
 }
 
 Result<uint64_t> Ham::PruneHistory(Context ctx, Time before) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.pruneHistory");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.admin");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.pruneHistory", "ham.op.admin");
   NEPTUNE_RETURN_IF_ERROR(RejectIfFollower());
   NEPTUNE_ASSIGN_OR_RETURN(LockedSession session, FindSession(ctx));
   if (session->in_txn) {

@@ -57,8 +57,7 @@ void Ham::PinReplicaGraph(const std::string& directory,
 // ------------------------------------------------------------ primary
 
 Result<ReplFetchResult> Ham::ReplFetch(const ReplFetchRequest& request) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.replFetch");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.repl");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.replFetch", "ham.op.repl");
   if (follower()) {
     return Status::FailedPrecondition(
         "this node is a follower and cannot serve replication");
@@ -204,8 +203,7 @@ Result<ReplFetchResult> Ham::ReplFetch(const ReplFetchRequest& request) {
 }
 
 Result<std::vector<std::string>> Ham::ReplListGraphs(const std::string& root) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.replListGraphs");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.repl");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.replListGraphs", "ham.op.repl");
   std::vector<std::string> out;
   // "" names the root itself, so a single-graph deployment can point
   // --follow straight at the graph directory.
@@ -231,8 +229,7 @@ Result<std::vector<std::string>> Ham::ReplListGraphs(const std::string& root) {
 }
 
 Result<ReplNodeStatus> Ham::ReplStatus(const std::string& directory) {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.replStatus");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.repl");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.replStatus", "ham.op.repl");
   NEPTUNE_ASSIGN_OR_RETURN(std::shared_ptr<GraphHandle> graph,
                            LoadGraph(directory));
   GraphHandle* handle = graph.get();
@@ -265,8 +262,7 @@ Result<ReplNodeStatus> Ham::ReplStatus(const std::string& directory) {
 Result<ReplicaApplyResult> Ham::ReplicaApply(const std::string& directory,
                                              uint64_t expected_epoch,
                                              std::string_view frames) {
-  NEPTUNE_TRACE_SPAN(op_span, "repl.apply");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.repl");
+  NEPTUNE_TRACE_SPAN(op_span, "repl.apply", "ham.op.repl");
   if (!follower()) {
     // Fencing on the promoted node: a replicator that lost the race
     // with Promote() must not write a byte more.
@@ -342,8 +338,7 @@ Status Ham::ReplicaInstallSnapshot(const std::string& directory,
                                    std::string_view meta,
                                    std::string_view snapshot, uint64_t epoch,
                                    uint64_t term) {
-  NEPTUNE_TRACE_SPAN(op_span, "repl.install_snapshot");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.repl");
+  NEPTUNE_TRACE_SPAN(op_span, "repl.install_snapshot", "ham.op.repl");
   if (!follower()) {
     return Status::FailedPrecondition(
         "not a follower; refusing replicated snapshot");
@@ -396,8 +391,7 @@ Status Ham::ReplicaInstallSnapshot(const std::string& directory,
 }
 
 Status Ham::ReplicaRoll(const std::string& directory, uint64_t to_epoch) {
-  NEPTUNE_TRACE_SPAN(op_span, "repl.roll");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.repl");
+  NEPTUNE_TRACE_SPAN(op_span, "repl.roll", "ham.op.repl");
   if (!follower()) {
     return Status::FailedPrecondition("not a follower; refusing epoch roll");
   }
@@ -442,8 +436,7 @@ void Ham::NoteReplProgress(const std::string& directory, uint64_t lag_bytes,
 // ---------------------------------------------------------- promotion
 
 Result<uint64_t> Ham::Promote() {
-  NEPTUNE_TRACE_SPAN(op_span, "ham.promote");
-  NEPTUNE_METRIC_TIMED(timer, "ham.op.repl");
+  NEPTUNE_TRACE_SPAN(op_span, "ham.promote", "ham.op.repl");
   const bool was_follower =
       follower_mode_.exchange(false, std::memory_order_acq_rel);
   // Every graph this engine knows about gets its term bumped; pinned

@@ -2,6 +2,7 @@
 
 #include "common/coding.h"
 #include "common/metrics.h"
+#include "common/trace.h"
 
 namespace neptune {
 namespace rpc {
@@ -127,7 +128,7 @@ std::string RequestDispatcher::Handle(std::string_view in,
   if (in.empty()) return BadRequestReply("empty");
   const Method method = static_cast<Method>(in.front());
   in.remove_prefix(1);
-  NEPTUNE_METRIC_TIMED(timer, "rpc.request_latency");
+  NEPTUNE_TRACE_SPAN(span, "rpc.dispatch", "rpc.request_latency");
   NEPTUNE_METRIC_COUNT("rpc.requests", 1);
   MethodCounter(method)->Increment();
   const MethodInfo& info = Describe(method);

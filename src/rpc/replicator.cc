@@ -167,9 +167,11 @@ bool Replicator::TailOne(const std::string& rel, Cursor* cursor) {
   if (reply.action == ham::ReplFetchResult::Action::kSnapshot) {
     Status installed;
     {
+      static const uint32_t install_name =
+          Tracer::Instance().InternName("repl.follower.snapshot_install");
       static Histogram* install_hist = MetricsRegistry::Instance().GetHistogram(
           "repl.follower.snapshot_install_us");
-      ScopedTimer install_timer(install_hist, nullptr, time_);
+      ScopedSpan install_span(install_name, install_hist, nullptr, time_);
       installed = ham_->ReplicaInstallSnapshot(
           local, reply.meta, reply.payload, reply.epoch, reply.term);
     }
@@ -198,9 +200,11 @@ bool Replicator::TailOne(const std::string& rel, Cursor* cursor) {
   }
   if (!payload.empty()) {
     Result<ham::ReplicaApplyResult> applied = [&] {
+      static const uint32_t apply_name =
+          Tracer::Instance().InternName("repl.follower.apply");
       static Histogram* apply_hist =
           MetricsRegistry::Instance().GetHistogram("repl.follower.apply_us");
-      ScopedTimer apply_timer(apply_hist, nullptr, time_);
+      ScopedSpan apply_span(apply_name, apply_hist, nullptr, time_);
       return ham_->ReplicaApply(local, cursor->p.epoch, payload);
     }();
     if (!applied.ok()) {

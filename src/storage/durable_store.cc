@@ -497,11 +497,10 @@ Status DurableStore::RepairWal() {
 }
 
 Status DurableStore::Checkpoint(std::string_view snapshot) {
-  NEPTUNE_TRACE_SPAN(span, "storage.checkpoint");
+  NEPTUNE_TRACE_SPAN(span, "storage.checkpoint", "storage.checkpoint");
   if (span.active()) {
     span.Annotate("bytes=" + std::to_string(snapshot.size()));
   }
-  NEPTUNE_METRIC_TIMED(timer, "storage.checkpoint");
   NEPTUNE_METRIC_COUNT("storage.checkpoint.bytes", snapshot.size());
   const uint64_t next = epoch_ + 1;
   const std::string next_snap = JoinPath(dir_, SnapName(next));

@@ -3,6 +3,7 @@
 #include "common/coding.h"
 #include "common/crc32c.h"
 #include "common/metrics.h"
+#include "common/trace.h"
 
 namespace neptune {
 
@@ -25,7 +26,7 @@ Status LogWriter::AddRecord(std::string_view payload, bool sync) {
   NEPTUNE_METRIC_COUNT("storage.wal.appends", 1);
   NEPTUNE_METRIC_COUNT("storage.wal.bytes", frame.size());
   if (sync) {
-    NEPTUNE_METRIC_TIMED(timer, "storage.wal.fsync");
+    NEPTUNE_TRACE_SPAN(span, "storage.wal.fsync", "storage.wal.fsync");
     return file_->Sync();
   }
   return Status::OK();
@@ -36,7 +37,7 @@ Status LogWriter::AddRawFrames(std::string_view frames, bool sync) {
   NEPTUNE_METRIC_COUNT("storage.wal.appends", 1);
   NEPTUNE_METRIC_COUNT("storage.wal.bytes", frames.size());
   if (sync) {
-    NEPTUNE_METRIC_TIMED(timer, "storage.wal.fsync");
+    NEPTUNE_TRACE_SPAN(span, "storage.wal.fsync", "storage.wal.fsync");
     return file_->Sync();
   }
   return Status::OK();

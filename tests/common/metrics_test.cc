@@ -4,6 +4,7 @@
 // values.
 
 #include "common/metrics.h"
+#include "common/trace.h"
 
 #include <thread>
 #include <vector>
@@ -108,14 +109,15 @@ TEST(MetricsTest, CounterValueMissingNameIsZero) {
   EXPECT_EQ(snap.CounterValue("test.counter.never-registered"), 0u);
 }
 
-TEST(MetricsTest, ScopedTimerRecordsOnce) {
+TEST(MetricsTest, TimedSpanRecordsOnce) {
   MetricsRegistry& registry = MetricsRegistry::Instance();
   Histogram* h = registry.GetHistogram("test.timer.hist");
   Counter* c = registry.GetCounter("test.timer.count");
+  const uint32_t name = Tracer::Instance().InternName("test.timer");
   const uint64_t hist_before =
       registry.Snapshot().histograms.at("test.timer.hist").count;
   const uint64_t count_before = c->Value();
-  { ScopedTimer timer(h, c); }
+  { ScopedSpan span(name, h, c); }
   EXPECT_EQ(registry.Snapshot().histograms.at("test.timer.hist").count,
             hist_before + 1);
   EXPECT_EQ(c->Value(), count_before + 1);
@@ -262,7 +264,7 @@ TEST(MetricsTest, QuantilesAreMonotonicInQ) {
   EXPECT_GE(p999, 100000u);  // into the 100ms tail
 }
 
-// A fixed fake clock, so the timer's reading is exact rather than
+// A fixed fake clock, so the span's reading is exact rather than
 // "some small number of real microseconds".
 class FixedTimeSource : public TimeSource {
  public:
@@ -271,15 +273,16 @@ class FixedTimeSource : public TimeSource {
   uint64_t now_ = 1'000'000;
 };
 
-TEST(MetricsTest, ScopedTimerReadsTheInjectedTimeSource) {
+TEST(MetricsTest, TimedSpanReadsTheInjectedTimeSource) {
   MetricsRegistry& registry = MetricsRegistry::Instance();
   Histogram* h = registry.GetHistogram("test.timer.fake");
+  const uint32_t name = Tracer::Instance().InternName("test.timer.fake");
   const uint64_t before = registry.Snapshot()
                               .histograms.at("test.timer.fake")
                               .count;
   FixedTimeSource time;
   {
-    ScopedTimer timer(h, nullptr, &time);
+    ScopedSpan span(name, h, nullptr, &time);
     time.now_ += 500;  // exactly 500us elapse on the fake clock
   }
   const HistogramSnapshot hist =
@@ -299,7 +302,7 @@ TEST(MetricsTest, MacrosBumpTheNamedMetrics) {
 
   const uint64_t timed_before =
       registry.Snapshot().CounterValue("test.macro.timed.count");
-  { NEPTUNE_METRIC_TIMED(timer, "test.macro.timed"); }
+  { NEPTUNE_TRACE_SPAN(span, "test.macro.span", "test.macro.timed"); }
   MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(snap.CounterValue("test.macro.timed.count"), timed_before + 1);
   EXPECT_GE(snap.histograms.at("test.macro.timed").count, 1u);

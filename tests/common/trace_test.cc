@@ -12,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
+
 namespace neptune {
 namespace {
 
@@ -159,6 +161,40 @@ TEST_F(TraceTest, UnsampledRemoteContextRecordsNothing) {
     (void)server;
   }
   EXPECT_TRUE(Tracer::Instance().RecentTraces().empty());
+}
+
+// A span with a histogram is the op's latency instrument: one sample
+// and one `.count` bump per scope, whether tracing is off, on and
+// sampling this root, or on and passing it over.
+TEST_F(TraceTest, TimedSpanRecordsOneSampleTracedOrNot) {
+  MetricsRegistry& registry = MetricsRegistry::Instance();
+  auto timed_span = [] {
+    NEPTUNE_TRACE_SPAN(span, "test.timed", "test.timed.hist");
+    return span.active();
+  };
+  auto samples = [&] {
+    const MetricsSnapshot snap = registry.Snapshot();
+    EXPECT_EQ(snap.histograms.at("test.timed.hist").count,
+              snap.CounterValue("test.timed.hist.count"));
+    return snap.CounterValue("test.timed.hist.count");
+  };
+  timed_span();  // registers the metrics
+  uint64_t before = samples();
+
+  EXPECT_FALSE(timed_span());  // tracing off
+  EXPECT_EQ(samples(), before + 1);
+  EXPECT_TRUE(Tracer::Instance().RecentTraces().empty());
+
+  Tracer::Instance().Configure(1u << 30, 0);  // only the first root sampled
+  before = samples();
+  EXPECT_TRUE(timed_span());  // sampled
+  EXPECT_EQ(samples(), before + 1);
+  EXPECT_EQ(Tracer::Instance().RecentTraces().size(), 1u);
+
+  before = samples();
+  EXPECT_TRUE(timed_span());  // traced but unsampled
+  EXPECT_EQ(samples(), before + 1);
+  EXPECT_EQ(Tracer::Instance().RecentTraces().size(), 1u);
 }
 
 TEST_F(TraceTest, InternNameIsStable) {

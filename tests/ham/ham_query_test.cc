@@ -2,6 +2,10 @@
 // projection, DFS ordering by link offsets, and historical queries.
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+
+#include <optional>
+#include <vector>
 
 #include "ham/ham.h"
 #include "tests/ham/ham_test_util.h"
@@ -142,6 +146,54 @@ TEST_F(HamQueryTest, LinearizeHandlesCycles) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->nodes.size(), 5u);  // each node exactly once
   EXPECT_EQ(result->links.size(), 5u);  // cycle link included
+}
+
+// The depth-first walk keeps its own stack: a chain far deeper than a
+// 256 KiB thread stack could hold as recursion still linearizes whole,
+// in chain order.
+TEST_F(HamQueryTest, LinearizeLongChainOnSmallStack) {
+  constexpr size_t kChain = 8000;
+  ASSERT_TRUE(ham_->BeginTransaction(ctx_).ok());
+  std::vector<NodeIndex> chain;
+  for (size_t i = 0; i < kChain; ++i) {
+    auto added = ham_->AddNode(ctx_, /*keep_history=*/false);
+    ASSERT_TRUE(added.ok()) << added.status().ToString();
+    if (!chain.empty()) {
+      ASSERT_TRUE(ham_->AddLink(ctx_, LinkPt{chain.back(), 0, 0, true},
+                                LinkPt{added->node, 0, 0, true})
+                      .ok());
+    }
+    chain.push_back(added->node);
+  }
+  ASSERT_TRUE(ham_->CommitTransaction(ctx_).ok());
+
+  struct Walk {
+    Ham* ham;
+    Context ctx;
+    NodeIndex start;
+    std::optional<Result<SubGraph>> result;
+  } walk{ham_.get(), ctx_, chain.front(), std::nullopt};
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, 256 << 10), 0);
+  pthread_t thread;
+  ASSERT_EQ(pthread_create(
+                &thread, &attr,
+                [](void* arg) -> void* {
+                  Walk* w = static_cast<Walk*>(arg);
+                  w->result = w->ham->LinearizeGraph(w->ctx, w->start, 0, "",
+                                                     "", {}, {});
+                  return nullptr;
+                },
+                &walk),
+            0);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
+  pthread_attr_destroy(&attr);
+
+  ASSERT_TRUE(walk.result.has_value());
+  ASSERT_TRUE(walk.result->ok()) << walk.result->status().ToString();
+  EXPECT_EQ(NodeIds(**walk.result), chain);
+  EXPECT_EQ((*walk.result)->links.size(), kChain - 1);
 }
 
 TEST_F(HamQueryTest, LinearizeFromMissingStartFails) {
