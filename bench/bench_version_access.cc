@@ -11,8 +11,15 @@
 // delta); full-copy stays flat but pays its storage price (B1). The
 // design bet of §3 is that recent versions — the common case — are the
 // cheapest.
+//
+// The write side of the same axis, BM_ModifyNodeAtDepth, is flat: a
+// write copies a node's current contents and history tails, never its
+// history.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <deque>
 
 #include "bench/baseline_chain.h"
 #include "bench/bench_util.h"
@@ -221,6 +228,75 @@ void BM_HamNodeDifferences(benchmark::State& state) {
 }
 
 BENCHMARK(BM_HamNodeDifferences)->Arg(1)->Arg(10)->Arg(99);
+
+// Write cost against history depth: one modifyNode (plus the
+// getNodeTimeStamp that yields the next expected time) on a node that
+// already holds `depth` versions, with sync off so fsync does not hide
+// the in-memory work. A small pool of nodes is written round-robin and
+// PruneHistory drops the oldest passes (B7's pattern), so the depth
+// stays within depth + depth/64 however many iterations run. Unlike
+// B7 it prunes every depth/64 passes rather than every pass: a prune
+// rewrites the snapshot (MiBs at depth 16384), and pruning every pass
+// would time the cache refill after that checkpoint instead of the
+// write. The copy-on-write that stages the node shares its history
+// chunks, so the cost should not grow with depth: CI fails when
+// /16384 costs more than 2x /1.
+void BM_ModifyNodeAtDepth(benchmark::State& state) {
+  const int depth = static_cast<int>(state.range(0));
+  const size_t passes_per_prune = std::max(1, depth / 64);
+  constexpr int kPool = 4;
+  bench::ScratchGraph graph("b2_modify");
+  auto* ham = graph.ham();
+  auto ctx = graph.ctx();
+  Random rng(11);
+  std::string text = rng.NextString(256);
+  std::vector<ham::NodeIndex> pool;
+  std::vector<ham::Time> expected;
+  for (int n = 0; n < kPool; ++n) {
+    auto added = ham->AddNode(ctx, true);
+    pool.push_back(added->node);
+    expected.push_back(added->creation_time);
+  }
+  bool failed = false;
+  auto modify = [&](size_t k) {
+    text[rng.Uniform(text.size())] = static_cast<char>('a' + rng.Uniform(26));
+    failed |= !ham->ModifyNode(ctx, pool[k], expected[k], text, {}, "").ok();
+    expected[k] = *ham->GetNodeTimeStamp(ctx, pool[k]);
+  };
+  // Time of each pass's last write, oldest pass first.
+  std::deque<ham::Time> pass_ends;
+  for (int d = 0; d < depth; ++d) {
+    for (size_t k = 0; k < pool.size(); ++k) modify(k);
+    pass_ends.push_back(expected.back());
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    if (next == pool.size()) {
+      state.PauseTiming();
+      pass_ends.push_back(expected.back());
+      if (pass_ends.size() > static_cast<size_t>(depth) + passes_per_prune) {
+        // Keeps the versions in effect from the end of the pass
+        // `passes_per_prune` after the oldest on: `depth` per node.
+        ham->PruneHistory(ctx, pass_ends[passes_per_prune]);
+        pass_ends.erase(pass_ends.begin(),
+                        pass_ends.begin() +
+                            static_cast<std::ptrdiff_t>(passes_per_prune));
+      }
+      next = 0;
+      state.ResumeTiming();
+    }
+    modify(next++);
+  }
+  if (failed) state.SkipWithError("modifyNode failed");
+  state.counters["depth"] = depth;
+}
+
+BENCHMARK(BM_ModifyNodeAtDepth)
+    ->Arg(1)
+    ->Arg(256)
+    ->Arg(4096)
+    ->Arg(16384)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace neptune

@@ -16,7 +16,7 @@ namespace {
 
 // New-format chains set this bit on the mode byte; legacy blobs
 // (mode byte without it) decode unchanged. Counts read from a blob
-// reserve at most one element per remaining input byte, so a corrupt
+// reserve nothing (the logs grow a chunk at a time), so a corrupt
 // count fails as truncation instead of as a huge allocation.
 constexpr uint8_t kKeyframeFlag = 0x80;
 
@@ -37,7 +37,8 @@ Status VersionChain::Append(uint64_t time, std::string_view contents,
   }
   if (mode_ == ChainMode::kCurrentOnly) {
     // A file node: replace, keep only the latest version record.
-    versions_.assign(1, VersionInfo{time, std::string(explanation)});
+    versions_.clear();
+    versions_.push_back(VersionInfo{time, std::string(explanation)});
     current_.assign(contents);
     return Status::OK();
   }
@@ -50,7 +51,8 @@ Status VersionChain::Append(uint64_t time, std::string_view contents,
     // Keyframe the displaced version (we hold it whole right now).
     const size_t displaced = versions_.size() - 1;
     if (keyframe_interval_ > 0 && displaced % keyframe_interval_ == 0) {
-      keyframes_.push_back(Keyframe{displaced, current_});
+      keyframes_.push_back(
+          Keyframe{displaced, std::make_shared<const std::string>(current_)});
     }
   }
   versions_.push_back(VersionInfo{time, std::string(explanation)});
@@ -93,7 +95,7 @@ Result<std::string> VersionChain::Get(uint64_t time) const {
       [](const Keyframe& k, size_t i) { return k.index < i; });
   if (kf != keyframes_.end() && static_cast<size_t>(kf->index) < start) {
     start = static_cast<size_t>(kf->index);
-    base = &kf->contents;
+    base = kf->contents.get();
   }
   NEPTUNE_METRIC_COUNT("delta.chain.reconstructions", 1);
   NEPTUNE_METRIC_COUNT("delta.chain.deltas_applied", start - index);
@@ -115,16 +117,14 @@ size_t VersionChain::PruneBefore(uint64_t before) {
   Result<size_t> index = VersionIndexAt(before);
   if (!index.ok() || *index == 0) return 0;
   const size_t drop = *index;
-  versions_.erase(versions_.begin(),
-                  versions_.begin() + static_cast<ptrdiff_t>(drop));
-  backward_.erase(backward_.begin(),
-                  backward_.begin() + static_cast<ptrdiff_t>(drop));
+  versions_.DropFront(drop);
+  backward_.DropFront(drop);
   // Keyframes below the horizon go; survivors shift with the indices.
-  keyframes_.erase(
-      std::remove_if(keyframes_.begin(), keyframes_.end(),
-                     [&](const Keyframe& k) { return k.index < drop; }),
-      keyframes_.end());
-  for (Keyframe& k : keyframes_) k.index -= drop;
+  ChunkedLog<Keyframe> kept;
+  for (const Keyframe& k : keyframes_) {
+    if (k.index >= drop) kept.push_back(Keyframe{k.index - drop, k.contents});
+  }
+  keyframes_ = std::move(kept);
   // Re-id so stale reconstruction-cache entries can never be served
   // (they were keyed under the old id) and age out of the LRU.
   chain_id_ = NewChainId();
@@ -134,8 +134,19 @@ size_t VersionChain::PruneBefore(uint64_t before) {
 size_t VersionChain::StoredBytes() const {
   size_t total = current_.size();
   for (const auto& d : backward_) total += d.size();
-  for (const auto& k : keyframes_) total += k.contents.size();
+  for (const auto& k : keyframes_) total += k.contents->size();
   return total;
+}
+
+size_t VersionChain::CopyBytes() const {
+  return current_.size() +
+         versions_.TailBytes([](const VersionInfo& v) {
+           return sizeof(VersionInfo) + v.explanation.size();
+         }) +
+         backward_.TailBytes([](const std::string& d) {
+           return sizeof(std::string) + d.size();
+         }) +
+         keyframes_.TailBytes([](const Keyframe&) { return sizeof(Keyframe); });
 }
 
 void VersionChain::EncodeTo(std::string* out) const {
@@ -150,7 +161,7 @@ void VersionChain::EncodeTo(std::string* out) const {
     PutVarint64(out, keyframes_.size());
     for (const Keyframe& k : keyframes_) {
       PutVarint64(out, k.index);
-      PutLengthPrefixed(out, k.contents);
+      PutLengthPrefixed(out, *k.contents);
     }
   }
   PutLengthPrefixed(out, current_);
@@ -181,7 +192,6 @@ Result<VersionChain> VersionChain::DecodeFrom(std::string_view* in) {
     if (!GetVarint32(in, &chain.keyframe_interval_) || !GetVarint64(in, &nk)) {
       return Status::Corruption("version chain: truncated keyframe header");
     }
-    chain.keyframes_.reserve(std::min<uint64_t>(nk, in->size()));
     uint64_t prev_index = 0;
     for (uint64_t i = 0; i < nk; ++i) {
       Keyframe k;
@@ -193,7 +203,7 @@ Result<VersionChain> VersionChain::DecodeFrom(std::string_view* in) {
         return Status::Corruption("version chain: keyframes out of order");
       }
       prev_index = k.index;
-      k.contents.assign(contents);
+      k.contents = std::make_shared<const std::string>(contents);
       chain.keyframes_.push_back(std::move(k));
     }
   }
@@ -206,7 +216,6 @@ Result<VersionChain> VersionChain::DecodeFrom(std::string_view* in) {
   if (!GetVarint64(in, &n)) {
     return Status::Corruption("version chain: truncated version count");
   }
-  chain.versions_.reserve(std::min<uint64_t>(n, in->size()));
   for (uint64_t i = 0; i < n; ++i) {
     VersionInfo v;
     std::string_view expl;
@@ -233,13 +242,12 @@ Result<VersionChain> VersionChain::DecodeFrom(std::string_view* in) {
   if (!chain.keyframes_.empty() && chain.keyframes_.back().index >= n) {
     return Status::Corruption("version chain: keyframe index out of range");
   }
-  chain.backward_.reserve(std::min<uint64_t>(nd, in->size()));
   for (uint64_t i = 0; i < nd; ++i) {
     std::string_view d;
     if (!GetLengthPrefixed(in, &d)) {
       return Status::Corruption("version chain: truncated delta");
     }
-    chain.backward_.emplace_back(d);
+    chain.backward_.push_back(std::string(d));
   }
   return chain;
 }

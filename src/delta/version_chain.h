@@ -25,6 +25,14 @@
 // trading (StoredBytes/K-th) extra storage for a hard latency bound.
 // Keyframes are captured at Append time.
 //
+// Sharing. Every history the chain keeps (version entries, backward
+// deltas, keyframes) is a ChunkedLog: full 64-entry chunks are
+// immutable and shared by copies, so copying a chain copies its
+// current contents and the newest tails, not its history. That is
+// what keeps a transaction's copy-on-write of a deep node O(1) in
+// depth. Keyframe contents are shared too, so a copied keyframe tail
+// holds pointers, not documents.
+//
 // Reconstructions are additionally memoized in the process-wide
 // ReconstructionCache (see recon_cache.h), keyed by the chain's
 // process-unique id and the canonical version time.
@@ -36,10 +44,11 @@
 #define NEPTUNE_DELTA_VERSION_CHAIN_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
+#include "common/chunked_log.h"
 #include "common/result.h"
 
 namespace neptune {
@@ -100,11 +109,16 @@ class VersionChain {
   }
 
   // Version metadata, oldest first.
-  const std::vector<VersionInfo>& versions() const { return versions_; }
+  const ChunkedLog<VersionInfo>& versions() const { return versions_; }
 
   // Bytes held by this chain (current contents + stored deltas +
   // keyframes); the quantity benchmark B1 measures.
   size_t StoredBytes() const;
+
+  // Bytes a copy of this chain duplicates rather than shares: the
+  // current contents and the unshared tails of its histories
+  // (ham.overlay.copy_bytes). Independent of the version count.
+  size_t CopyBytes() const;
 
   // Reclaims storage: drops every version strictly older than the one
   // in effect at `before`. Reads at or after `before` still work;
@@ -122,20 +136,20 @@ class VersionChain {
   // versions_ (kept ascending by index).
   struct Keyframe {
     uint64_t index = 0;
-    std::string contents;
+    std::shared_ptr<const std::string> contents;
   };
 
   static uint64_t NewChainId();
 
   ChainMode mode_;
   std::string current_;                // the newest version's contents
-  std::vector<VersionInfo> versions_;  // oldest -> newest
+  ChunkedLog<VersionInfo> versions_;   // oldest -> newest
   // kBackwardDelta: versions_.size() - 1 deltas, backward_[i]
   // reconstructs version i from version i+1. kCurrentOnly: empty.
-  std::vector<std::string> backward_;
+  ChunkedLog<std::string> backward_;
 
   uint32_t keyframe_interval_ = 0;
-  std::vector<Keyframe> keyframes_;  // ascending by index
+  ChunkedLog<Keyframe> keyframes_;  // ascending by index
 
   uint64_t chain_id_ = NewChainId();
 };

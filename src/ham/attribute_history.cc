@@ -9,12 +9,12 @@ namespace ham {
 
 void AttributeHistory::Set(AttributeIndex attr, Time t, std::string value,
                            bool versioned) {
-  std::vector<Entry>& history = entries_[attr];
+  ChunkedLog<Entry>& history = entries_[attr];
   if (!versioned) history.clear();
   // Same-time overwrite (several sets inside one transaction tick)
   // replaces rather than duplicates.
   if (!history.empty() && history.back().time == t) {
-    history.back().value = std::move(value);
+    history.mutable_back().value = std::move(value);
     return;
   }
   history.push_back(Entry{t, std::move(value)});
@@ -27,9 +27,9 @@ void AttributeHistory::Delete(AttributeIndex attr, Time t, bool versioned) {
     entries_.erase(it);
     return;
   }
-  std::vector<Entry>& history = it->second;
+  ChunkedLog<Entry>& history = it->second;
   if (!history.empty() && history.back().time == t) {
-    history.back().value = std::nullopt;
+    history.mutable_back().value = std::nullopt;
   } else {
     history.push_back(Entry{t, std::nullopt});
   }
@@ -39,7 +39,7 @@ std::optional<std::string_view> AttributeHistory::Get(AttributeIndex attr,
                                                       Time t) const {
   auto it = entries_.find(attr);
   if (it == entries_.end()) return std::nullopt;
-  const std::vector<Entry>& history = it->second;
+  const ChunkedLog<Entry>& history = it->second;
   if (t == 0) {
     if (history.empty() || !history.back().value.has_value()) {
       return std::nullopt;
@@ -88,10 +88,23 @@ size_t AttributeHistory::PruneBefore(Time before) {
         [](Time t, const Entry& e) { return t < e.time; });
     if (keep == history.begin()) continue;
     --keep;  // the in-effect entry
-    dropped += static_cast<size_t>(std::distance(history.begin(), keep));
-    history.erase(history.begin(), keep);
+    const size_t drop = static_cast<size_t>(keep - history.begin());
+    history.DropFront(drop);
+    dropped += drop;
   }
   return dropped;
+}
+
+size_t AttributeHistory::CopyBytes() const {
+  size_t total = 0;
+  for (const auto& [attr, history] : entries_) {
+    (void)attr;
+    total += sizeof(std::pair<const AttributeIndex, ChunkedLog<Entry>>) +
+             history.TailBytes([](const Entry& e) {
+               return sizeof(Entry) + (e.value ? e.value->size() : 0);
+             });
+  }
+  return total;
 }
 
 Time AttributeHistory::LastTime() const {
@@ -136,8 +149,7 @@ Result<AttributeHistory> AttributeHistory::DecodeFrom(std::string_view* in) {
     if (!GetVarint64(in, &attr) || !GetVarint64(in, &n)) {
       return Status::Corruption("attribute history: truncated header");
     }
-    std::vector<Entry> history;
-    history.reserve(n);
+    ChunkedLog<Entry> history;
     for (uint64_t j = 0; j < n; ++j) {
       Entry e;
       if (!GetVarint64(in, &e.time) || in->empty()) {

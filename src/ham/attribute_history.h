@@ -4,6 +4,10 @@
 // Delete on a versioned object appends a timestamped entry, and reads
 // at any Time reconstruct the values in effect then. Unversioned
 // objects (file nodes) keep only the latest entry per attribute.
+//
+// Each attribute's entries are a ChunkedLog, so copying a history
+// (a record's copy-on-write) costs O(attributes + one tail each), not
+// O(entries).
 
 #ifndef NEPTUNE_HAM_ATTRIBUTE_HISTORY_H_
 #define NEPTUNE_HAM_ATTRIBUTE_HISTORY_H_
@@ -14,6 +18,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/chunked_log.h"
 #include "common/result.h"
 #include "ham/types.h"
 
@@ -55,6 +60,10 @@ class AttributeHistory {
   // for every attribute (history pruning). Returns entries dropped.
   size_t PruneBefore(Time before);
 
+  // Bytes a copy of this history duplicates rather than shares: one
+  // map entry and one unshared tail per attribute.
+  size_t CopyBytes() const;
+
   void EncodeTo(std::string* out) const;
   static Result<AttributeHistory> DecodeFrom(std::string_view* in);
 
@@ -65,7 +74,7 @@ class AttributeHistory {
   };
 
   // Per attribute, entries in ascending time order.
-  std::map<AttributeIndex, std::vector<Entry>> entries_;
+  std::map<AttributeIndex, ChunkedLog<Entry>> entries_;
 };
 
 }  // namespace ham

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "common/coding.h"
+#include "common/metrics.h"
 
 namespace neptune {
 namespace ham {
@@ -221,6 +222,8 @@ Result<NodeRecord*> GraphState::MutableNode(ThreadId thread, TxnOverlay* txn,
     return Status::NotFound("node " + std::to_string(index) +
                             " does not exist");
   }
+  // Shares the record's history chunks; copies the rest.
+  NEPTUNE_METRIC_COUNT("ham.overlay.copy_bytes", below->CopyBytes());
   auto [pos, inserted] = level.nodes.emplace(index, *below);
   (void)inserted;
   return &pos->second;
@@ -242,6 +245,7 @@ Result<LinkRecord*> GraphState::MutableLink(ThreadId thread, TxnOverlay* txn,
     return Status::NotFound("link " + std::to_string(index) +
                             " does not exist");
   }
+  NEPTUNE_METRIC_COUNT("ham.overlay.copy_bytes", below->CopyBytes());
   auto [pos, inserted] = level.links.emplace(index, *below);
   (void)inserted;
   return &pos->second;
@@ -444,7 +448,8 @@ Status GraphState::ApplyDeleteNode(const Op& op, TxnOverlay* txn) {
                     std::nullopt);
   }
   // "All links into or out of the node are deleted."
-  std::vector<LinkIndex> attached = node->out_links;
+  std::vector<LinkIndex> attached(node->out_links.begin(),
+                                  node->out_links.end());
   attached.insert(attached.end(), node->in_links.begin(),
                   node->in_links.end());
   for (LinkIndex index : attached) {
@@ -489,7 +494,7 @@ Status GraphState::ApplyAddLink(const Op& op, TxnOverlay* txn) {
     end.node = pt.node;
     end.track_current = pt.track_current;
     end.pinned_time = pt.track_current ? 0 : pt.time;
-    end.positions.emplace_back(op.time, pt.position);
+    end.positions.push_back({op.time, pt.position});
     return end;
   };
   link.from = make_end(op.from);
@@ -550,7 +555,7 @@ Status GraphState::ApplyModifyNode(const Op& op, TxnOverlay* txn) {
   // an entry. Pinned ends are frozen at their version and need none.
   size_t live_attachments = 0;
   for (bool source_end : {true, false}) {
-    const std::vector<LinkIndex>& list =
+    const ChunkedLog<LinkIndex>& list =
         source_end ? node->out_links : node->in_links;
     for (LinkIndex index : list) {
       const LinkRecord* link = FindLink(op.thread, txn, index);
@@ -1126,14 +1131,17 @@ size_t GraphState::PruneHistoryBefore(Time before) {
     (void)index;
     size_t dropped = node.contents.PruneBefore(before);
     dropped += node.attributes.PruneBefore(before);
-    const size_t minors_before = node.minor_versions.size();
-    node.minor_versions.erase(
-        std::remove_if(node.minor_versions.begin(), node.minor_versions.end(),
-                       [before](const VersionEntry& v) {
-                         return v.time < before;
-                       }),
-        node.minor_versions.end());
-    dropped += minors_before - node.minor_versions.size();
+    // Minor versions are appended in time order, so the ones before
+    // the horizon are a prefix.
+    const size_t minors_dropped = static_cast<size_t>(
+        std::partition_point(node.minor_versions.begin(),
+                             node.minor_versions.end(),
+                             [before](const VersionEntry& v) {
+                               return v.time < before;
+                             }) -
+        node.minor_versions.begin());
+    node.minor_versions.DropFront(minors_dropped);
+    dropped += minors_dropped;
     if (dropped > 0) ++touched;
   }
   for (auto& [index, link] : base_.links) {
@@ -1147,9 +1155,9 @@ size_t GraphState::PruneHistoryBefore(Time before) {
           });
       if (keep != end->positions.begin()) {
         --keep;  // the offset in effect at `before` stays
-        dropped += static_cast<size_t>(
-            std::distance(end->positions.begin(), keep));
-        end->positions.erase(end->positions.begin(), keep);
+        const size_t drop = static_cast<size_t>(keep - end->positions.begin());
+        end->positions.DropFront(drop);
+        dropped += drop;
       }
     }
     if (dropped > 0) ++touched;

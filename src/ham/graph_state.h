@@ -239,7 +239,8 @@ class GraphState {
  private:
   // Returns a mutable record at the right level, copying on write into
   // `txn` when staging, or into the thread overlay when txn == null
-  // and thread != main.
+  // and thread != main. The copy shares the record's full history
+  // chunks (records.h), so it costs the same at any history depth.
   Result<NodeRecord*> MutableNode(ThreadId thread, TxnOverlay* txn,
                                   NodeIndex index);
   Result<LinkRecord*> MutableLink(ThreadId thread, TxnOverlay* txn,

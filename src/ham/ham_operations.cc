@@ -306,7 +306,7 @@ Result<OpenNodeResult> Ham::OpenNode(
       read.state().AttributeValuesFor(record->attributes, attrs, time);
   // LinkPt* for the requested version: live attachments at `time`.
   for (bool source_end : {true, false}) {
-    const std::vector<LinkIndex>& list =
+    const ChunkedLog<LinkIndex>& list =
         source_end ? record->out_links : record->in_links;
     for (LinkIndex index : list) {
       const LinkRecord* link = read.FindLink(index);
@@ -393,7 +393,8 @@ Result<NodeVersions> Ham::GetNodeVersions(Context ctx, NodeIndex node) {
   for (const auto& v : record->contents.versions()) {
     out.major.push_back(VersionEntry{v.time, v.explanation});
   }
-  out.minor = record->minor_versions;
+  out.minor.assign(record->minor_versions.begin(),
+                   record->minor_versions.end());
   return out;
 }
 

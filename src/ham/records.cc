@@ -13,7 +13,7 @@ void DemonHistory::Set(Event event, Time t, std::string demon) {
   for (auto& [e, history] : entries_) {
     if (e == event) {
       if (!history.empty() && history.back().time == t) {
-        history.back().demon = std::move(demon);
+        history.mutable_back().demon = std::move(demon);
       } else {
         history.push_back(Entry{t, std::move(demon)});
       }
@@ -21,7 +21,19 @@ void DemonHistory::Set(Event event, Time t, std::string demon) {
     }
   }
   entries_.emplace_back(event,
-                        std::vector<Entry>{Entry{t, std::move(demon)}});
+                        ChunkedLog<Entry>{Entry{t, std::move(demon)}});
+}
+
+size_t DemonHistory::CopyBytes() const {
+  size_t total = 0;
+  for (const auto& [event, history] : entries_) {
+    (void)event;
+    total += sizeof(std::pair<Event, ChunkedLog<Entry>>) +
+             history.TailBytes([](const Entry& e) {
+               return sizeof(Entry) + e.demon.size();
+             });
+  }
+  return total;
 }
 
 std::string DemonHistory::Get(Event event, Time t) const {
@@ -73,8 +85,7 @@ Result<DemonHistory> DemonHistory::DecodeFrom(std::string_view* in) {
     if (!GetVarint64(in, &n)) {
       return Status::Corruption("demon history: truncated entry count");
     }
-    std::vector<Entry> history;
-    history.reserve(n);
+    ChunkedLog<Entry> history;
     for (uint64_t j = 0; j < n; ++j) {
       Entry e;
       std::string_view demon;
@@ -106,10 +117,10 @@ uint64_t LinkEnd::PositionAt(Time t) const {
 void LinkEnd::SetPosition(Time t, uint64_t position, bool versioned) {
   if (!versioned) positions.clear();
   if (!positions.empty() && positions.back().first == t) {
-    positions.back().second = position;
+    positions.mutable_back().second = position;
     return;
   }
-  positions.emplace_back(t, position);
+  positions.push_back({t, position});
 }
 
 void LinkEnd::EncodeTo(std::string* out) const {
@@ -134,19 +145,27 @@ Result<LinkEnd> LinkEnd::DecodeFrom(std::string_view* in) {
   if (!GetVarint64(in, &out.pinned_time) || !GetVarint64(in, &n)) {
     return Status::Corruption("link end: truncated header");
   }
-  out.positions.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t t = 0;
     uint64_t p = 0;
     if (!GetVarint64(in, &t) || !GetVarint64(in, &p)) {
       return Status::Corruption("link end: truncated position");
     }
-    out.positions.emplace_back(t, p);
+    out.positions.push_back({t, p});
   }
   return out;
 }
 
 // ---------------------------------------------------------- NodeRecord
+
+size_t NodeRecord::CopyBytes() const {
+  return sizeof(NodeRecord) + contents.CopyBytes() +
+         minor_versions.TailBytes([](const VersionEntry& v) {
+           return sizeof(VersionEntry) + v.explanation.size();
+         }) +
+         attributes.CopyBytes() + demons.CopyBytes() + out_links.TailBytes() +
+         in_links.TailBytes();
+}
 
 void NodeRecord::EncodeTo(std::string* out) const {
   PutVarint64(out, index);
@@ -187,7 +206,6 @@ Result<NodeRecord> NodeRecord::DecodeFrom(std::string_view* in) {
   if (!GetVarint64(in, &minors)) {
     return Status::Corruption("node record: truncated minors");
   }
-  out.minor_versions.reserve(minors);
   for (uint64_t i = 0; i < minors; ++i) {
     VersionEntry v;
     std::string_view expl;
@@ -203,7 +221,6 @@ Result<NodeRecord> NodeRecord::DecodeFrom(std::string_view* in) {
   if (!GetVarint64(in, &n)) {
     return Status::Corruption("node record: truncated out-link count");
   }
-  out.out_links.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t l = 0;
     if (!GetVarint64(in, &l)) {
@@ -214,7 +231,6 @@ Result<NodeRecord> NodeRecord::DecodeFrom(std::string_view* in) {
   if (!GetVarint64(in, &n)) {
     return Status::Corruption("node record: truncated in-link count");
   }
-  out.in_links.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t l = 0;
     if (!GetVarint64(in, &l)) {
@@ -226,6 +242,11 @@ Result<NodeRecord> NodeRecord::DecodeFrom(std::string_view* in) {
 }
 
 // ---------------------------------------------------------- LinkRecord
+
+size_t LinkRecord::CopyBytes() const {
+  return sizeof(LinkRecord) + from.positions.TailBytes() +
+         to.positions.TailBytes() + attributes.CopyBytes();
+}
 
 void LinkRecord::EncodeTo(std::string* out) const {
   PutVarint64(out, index);

@@ -2,6 +2,11 @@
 // their demon slots. Records never forget: deletion is a tombstone
 // timestamp so that "it is possible to see *any* version of the
 // hyperdocument back to its beginning" (paper §2.2).
+//
+// Every append-only history in a record is a ChunkedLog whose full
+// chunks are shared by copies, so the copy-on-write that stages a
+// record in a transaction or a context duplicates its scalars, its
+// current contents and one tail per history — never its history.
 
 #ifndef NEPTUNE_HAM_RECORDS_H_
 #define NEPTUNE_HAM_RECORDS_H_
@@ -10,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/chunked_log.h"
 #include "common/result.h"
 #include "delta/version_chain.h"
 #include "ham/attribute_history.h"
@@ -33,6 +39,9 @@ class DemonHistory {
 
   bool empty() const { return entries_.empty(); }
 
+  // Bytes a copy duplicates rather than shares (one tail per event).
+  size_t CopyBytes() const;
+
   void EncodeTo(std::string* out) const;
   static Result<DemonHistory> DecodeFrom(std::string_view* in);
 
@@ -42,7 +51,7 @@ class DemonHistory {
     std::string demon;
   };
   // Per event, ascending time.
-  std::vector<std::pair<Event, std::vector<Entry>>> entries_;
+  std::vector<std::pair<Event, ChunkedLog<Entry>>> entries_;
 };
 
 // One end of a link. For a track_current end the HAM keeps "a history
@@ -54,7 +63,7 @@ struct LinkEnd {
   Time pinned_time = 0;  // node version this end refers to, if pinned
 
   // Attachment offsets, ascending by time.
-  std::vector<std::pair<Time, uint64_t>> positions;
+  ChunkedLog<std::pair<Time, uint64_t>> positions;
 
   // Offset in effect at `t` (0 = latest).
   uint64_t PositionAt(Time t) const;
@@ -77,19 +86,23 @@ struct NodeRecord {
   // "Minor versions are updates that relate to the node but do not
   // change its contents, for example adding a link or defining an
   // attribute value."
-  std::vector<VersionEntry> minor_versions;
+  ChunkedLog<VersionEntry> minor_versions;
   AttributeHistory attributes;
   DemonHistory demons;
 
   // Links ever attached (including since-deleted ones; liveness is
   // resolved against the link records at a given time).
-  std::vector<LinkIndex> out_links;
-  std::vector<LinkIndex> in_links;
+  ChunkedLog<LinkIndex> out_links;
+  ChunkedLog<LinkIndex> in_links;
 
   bool ExistsAt(Time t) const {
     if (t == 0) return created != 0 && deleted == 0;
     return created != 0 && created <= t && (deleted == 0 || t < deleted);
   }
+
+  // Bytes a copy of this record duplicates rather than shares: its
+  // scalars, current contents and unshared history tails.
+  size_t CopyBytes() const;
 
   void EncodeTo(std::string* out) const;
   static Result<NodeRecord> DecodeFrom(std::string_view* in);
@@ -108,6 +121,9 @@ struct LinkRecord {
     if (t == 0) return created != 0 && deleted == 0;
     return created != 0 && created <= t && (deleted == 0 || t < deleted);
   }
+
+  // As NodeRecord::CopyBytes.
+  size_t CopyBytes() const;
 
   void EncodeTo(std::string* out) const;
   static Result<LinkRecord> DecodeFrom(std::string_view* in);

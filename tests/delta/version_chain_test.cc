@@ -585,6 +585,146 @@ TEST_P(VersionChainPropertyTest, RandomHistoriesReconstruct) {
 INSTANTIATE_TEST_SUITE_P(Seeds, VersionChainPropertyTest,
                          ::testing::Range(0, 20));
 
+// ------------------------------------------------- shared history chunks
+
+// A deterministic chain of `versions` small edits; times 10, 20, ...
+VersionChain BuildChain(int versions, uint32_t keyframe_interval) {
+  VersionChain chain(ChainMode::kBackwardDelta);
+  chain.set_keyframe_interval(keyframe_interval);
+  std::string text = "section header\n";
+  for (int v = 1; v <= versions; ++v) {
+    text += "line " + std::to_string(v) + "\n";
+    if (v % 5 == 0) text.erase(0, std::min<size_t>(8, text.size()));
+    EXPECT_TRUE(
+        chain.Append(10 * v, text, "edit " + std::to_string(v)).ok());
+  }
+  return chain;
+}
+
+// Everything a reader can observe of a chain, at every time.
+struct ChainView {
+  std::vector<std::string> reads;  // Get(t) for t = 0 .. last + 10
+  std::vector<std::pair<uint64_t, std::string>> versions;
+  size_t stored_bytes = 0;
+  std::string encoded;
+
+  bool operator==(const ChainView&) const = default;
+};
+
+ChainView Observe(const VersionChain& chain) {
+  ChainView view;
+  for (uint64_t t = 0; t <= chain.CurrentTime() + 10; ++t) {
+    Result<std::string> got = chain.Get(t);
+    view.reads.push_back(got.ok() ? *got : "<" + got.status().ToString() + ">");
+  }
+  for (const VersionInfo& v : chain.versions()) {
+    view.versions.emplace_back(v.time, v.explanation);
+  }
+  view.stored_bytes = chain.StoredBytes();
+  chain.EncodeTo(&view.encoded);
+  return view;
+}
+
+// 64-bit FNV-1a: pins encodings too long to spell out as literals.
+uint64_t Fingerprint(std::string_view bytes) {
+  uint64_t hash = 1469598103934665603ull;
+  for (char c : bytes) {
+    hash ^= static_cast<uint8_t>(c);
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+TEST(VersionChainSharingTest, CopyEditsLeaveTheOriginalUnchanged) {
+  // 150 versions: two full chunks of version entries plus a tail.
+  const VersionChain original = BuildChain(150, /*keyframe_interval=*/16);
+  const ChainView before = Observe(original);
+
+  VersionChain copy = original;
+  // Appends across three chunk boundaries (150 -> 350 versions).
+  std::string text = *copy.Get(0);
+  for (int v = 151; v <= 350; ++v) {
+    text += "copy line " + std::to_string(v) + "\n";
+    ASSERT_TRUE(copy.Append(10 * v, text, "copy edit").ok());
+  }
+  EXPECT_EQ(*copy.Get(3500), text);
+  EXPECT_EQ(Observe(original), before);
+
+  // Pruning the copy drops its own prefix, not the shared chunks, and
+  // every read at or after the horizon is unchanged.
+  std::vector<std::string> kept_reads;
+  for (uint64_t t = 10 * 200; t <= 3510; ++t) {
+    kept_reads.push_back(*copy.Get(t));
+  }
+  EXPECT_EQ(copy.PruneBefore(10 * 200), 199u);
+  for (uint64_t t = 10 * 200; t <= 3510; ++t) {
+    EXPECT_EQ(*copy.Get(t), kept_reads[t - 10 * 200]) << t;
+  }
+  EXPECT_TRUE(copy.Get(10 * 200 - 1).status().IsNotFound());
+  EXPECT_EQ(Observe(original), before);
+
+  // And the original stays writable on its own line of history.
+  VersionChain sibling = original;
+  ASSERT_TRUE(sibling.Append(10 * 151, "sibling", "other edit").ok());
+  EXPECT_EQ(Observe(original), before);
+  EXPECT_EQ(*sibling.Get(10 * 150), original.Current());
+}
+
+TEST(VersionChainSharingTest, UnversionedReplaceOnACopyLeavesTheOriginal) {
+  VersionChain original(ChainMode::kCurrentOnly);
+  ASSERT_TRUE(original.Append(10, "file contents", "created").ok());
+  const ChainView before = Observe(original);
+  VersionChain copy = original;
+  ASSERT_TRUE(copy.Append(20, "replaced", "write").ok());
+  EXPECT_EQ(*copy.Get(0), "replaced");
+  EXPECT_EQ(Observe(original), before);
+}
+
+TEST(VersionChainSharingTest, CopyDuplicatesOnlyContentsAndTails) {
+  // Beyond the current contents, the bytes a copy duplicates are the
+  // unshared tails, full in both chains: the version count is 4x.
+  const VersionChain shallow = BuildChain(64 * 16, 16);
+  const VersionChain deep = BuildChain(64 * 64, 16);
+  const size_t shallow_tails = shallow.CopyBytes() - shallow.Current().size();
+  const size_t deep_tails = deep.CopyBytes() - deep.Current().size();
+  EXPECT_LT(deep_tails, shallow_tails + shallow_tails / 4);
+  EXPECT_LT(deep.CopyBytes(), deep.StoredBytes() / 16);
+}
+
+// Chains that span chunk boundaries encode exactly as the flat-vector
+// representation did: the fingerprints were recorded before histories
+// were chunked. Snapshot and WAL bytes are unchanged.
+TEST(VersionChainSharingTest, ChunkedChainsEncodeToGoldenBytes) {
+  struct Golden {
+    int versions;
+    uint32_t keyframe_interval;
+    size_t size;
+    uint64_t fingerprint;
+  };
+  const Golden goldens[] = {
+      {63, 0, 1545, 16566213596377995047ull},
+      {64, 16, 2270, 5265586364038558697ull},
+      {65, 16, 2297, 16498375562948403412ull},
+      {200, 16, 13796, 10060731290080346387ull},
+      {300, 0, 7970, 2835032045064428109ull},
+  };
+  for (const Golden& g : goldens) {
+    VersionChain chain = BuildChain(g.versions, g.keyframe_interval);
+    std::string encoded;
+    chain.EncodeTo(&encoded);
+    EXPECT_EQ(encoded.size(), g.size) << g.versions;
+    EXPECT_EQ(Fingerprint(encoded), g.fingerprint) << g.versions;
+    // Pruned chains (survivors re-chunked) round-trip too.
+    chain.PruneBefore(10 * (g.versions / 2));
+    std::string pruned;
+    chain.EncodeTo(&pruned);
+    std::string_view in = pruned;
+    Result<VersionChain> decoded = VersionChain::DecodeFrom(&in);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(Observe(*decoded), Observe(chain));
+  }
+}
+
 }  // namespace
 }  // namespace delta
 }  // namespace neptune

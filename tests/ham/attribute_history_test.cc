@@ -128,6 +128,73 @@ TEST(AttributeHistoryTest, CodecRejectsTruncation) {
   }
 }
 
+// ------------------------------------------------- shared history chunks
+
+// Everything a reader can observe of a history, at every time.
+struct HistoryView {
+  std::vector<std::vector<std::pair<AttributeIndex, std::string>>> reads;
+  size_t entries = 0;
+  Time last = 0;
+  std::string encoded;
+
+  bool operator==(const HistoryView&) const = default;
+};
+
+HistoryView Observe(const AttributeHistory& h, Time until) {
+  HistoryView view;
+  for (Time t = 0; t <= until; ++t) view.reads.push_back(h.GetAll(t));
+  view.entries = h.entry_count();
+  view.last = h.LastTime();
+  h.EncodeTo(&view.encoded);
+  return view;
+}
+
+TEST(AttributeHistorySharingTest, CopyEditsLeaveTheOriginalUnchanged) {
+  // Attribute 1: 150 versioned entries (two full chunks plus a tail);
+  // attribute 2: unversioned; attribute 3: a tombstoned history.
+  AttributeHistory original;
+  for (Time t = 1; t <= 150; ++t) {
+    original.Set(1, t, "v" + std::to_string(t), true);
+  }
+  original.Set(2, 5, "file value", false);
+  original.Set(3, 7, "gone soon", true);
+  original.Delete(3, 9, true);
+  const HistoryView before = Observe(original, 400);
+
+  AttributeHistory copy = original;
+  // Appends across three chunk boundaries (150 -> 350 entries).
+  for (Time t = 151; t <= 350; ++t) {
+    copy.Set(1, t, "copy " + std::to_string(t), true);
+  }
+  // Same-time overwrite edits the copy's newest entry in place.
+  copy.Set(1, 350, "overwritten", true);
+  // Unversioned replace and delete.
+  copy.Set(2, 200, "replaced", false);
+  copy.Delete(2, 201, false);
+  EXPECT_EQ(*copy.Get(1, 0), "overwritten");
+  EXPECT_FALSE(copy.Get(2, 0).has_value());
+  EXPECT_EQ(Observe(original, 400), before);
+
+  // Pruning the copy drops its prefix without touching shared chunks.
+  EXPECT_GT(copy.PruneBefore(300), 0u);
+  EXPECT_FALSE(copy.Get(1, 100).has_value());
+  EXPECT_EQ(*copy.Get(1, 300), "copy 300");
+  EXPECT_EQ(Observe(original, 400), before);
+
+  // The original keeps its own line of history after the copy's.
+  AttributeHistory sibling = original;
+  sibling.Set(1, 150, "same-time overwrite", true);
+  EXPECT_EQ(Observe(original, 400), before);
+}
+
+TEST(AttributeHistorySharingTest, CopyDuplicatesOneTailPerAttribute) {
+  AttributeHistory shallow;
+  AttributeHistory deep;
+  for (Time t = 1; t <= 64; ++t) shallow.Set(1, t, "value", true);
+  for (Time t = 1; t <= 64 * 64; ++t) deep.Set(1, t, "value", true);
+  EXPECT_EQ(deep.CopyBytes(), shallow.CopyBytes());
+}
+
 }  // namespace
 }  // namespace ham
 }  // namespace neptune

@@ -6,8 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
+#include <map>
+#include <mutex>
+#include <set>
 #include <thread>
 
+#include "common/random.h"
 #include "tests/ham/ham_test_util.h"
 
 namespace neptune {
@@ -162,6 +167,130 @@ TEST_F(HamConcurrencyTest, SharedHandleSeesOneAnothersCommits) {
   ASSERT_TRUE(seen.ok());
   EXPECT_EQ(seen->contents, "from session 1");
   ASSERT_TRUE(ham_->CloseGraph(*ctx2).ok());
+}
+
+// A writer appends to a deep node's history across shared-chunk
+// boundaries in explicit transactions, aborting half of them, while
+// readers read its historical versions. Readers must never see an
+// aborted version, and a committed version must read the same at its
+// time forever — the copy-on-write overlay shares the record's history
+// chunks with the base that readers are walking.
+TEST_F(HamConcurrencyTest, DeepHistoryReadersNeverSeeUncommittedVersions) {
+  constexpr int kInitialVersions = 120;
+  constexpr int kTxns = 40;
+  constexpr int kOpsPerTxn = 4;
+  constexpr int kReaders = 3;
+  auto added = ham_->AddNode(ctx_, true);
+  ASSERT_TRUE(added.ok());
+  const NodeIndex node = added->node;
+
+  std::mutex mu;
+  // Committed versions readers may check, by time.
+  std::map<Time, std::string> committed;
+  std::set<Time> aborted;
+  committed[added->creation_time] = "";
+  Time expected = added->creation_time;
+  for (int v = 0; v < kInitialVersions; ++v) {
+    const std::string text = "committed " + std::to_string(v);
+    ASSERT_TRUE(ham_->ModifyNode(ctx_, node, expected, text, {}, "").ok());
+    expected = *ham_->GetNodeTimeStamp(ctx_, node);
+    committed[expected] = text;
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::thread writer([&] {
+    auto ctx = ham_->OpenGraph(project_, "local", dir_);
+    if (!ctx.ok()) {
+      ++failures;
+      done = true;
+      return;
+    }
+    for (int txn = 0; txn < kTxns; ++txn) {
+      const bool abort = txn % 2 == 1;
+      if (!ham_->BeginTransaction(*ctx).ok()) ++failures;
+      std::map<Time, std::string> written;
+      for (int op = 0; op < kOpsPerTxn; ++op) {
+        const Time current = *ham_->GetNodeTimeStamp(*ctx, node);
+        const std::string text = (abort ? "aborted " : "committed txn ") +
+                                 std::to_string(txn) + "." +
+                                 std::to_string(op);
+        if (!ham_->ModifyNode(*ctx, node, current, text, {}, "").ok()) {
+          ++failures;
+        }
+        written[*ham_->GetNodeTimeStamp(*ctx, node)] = text;
+      }
+      if (abort) {
+        if (!ham_->AbortTransaction(*ctx).ok()) ++failures;
+        std::lock_guard<std::mutex> lock(mu);
+        for (const auto& [time, text] : written) aborted.insert(time);
+      } else {
+        if (!ham_->CommitTransaction(*ctx).ok()) ++failures;
+        std::lock_guard<std::mutex> lock(mu);
+        committed.insert(written.begin(), written.end());
+      }
+    }
+    ham_->CloseGraph(*ctx);
+    done = true;
+  });
+
+  std::vector<std::thread> readers;
+  std::vector<std::vector<Time>> seen_versions(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      auto ctx = ham_->OpenGraph(project_, "local", dir_);
+      if (!ctx.ok()) {
+        ++failures;
+        return;
+      }
+      Random rng(77 + r);
+      // At least one pass, however fast the writer finishes.
+      do {
+        // A committed version, read at its own time.
+        Time t = 0;
+        std::string want;
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          auto it = committed.begin();
+          std::advance(it, rng.Uniform(committed.size()));
+          t = it->first;
+          want = it->second;
+        }
+        auto opened = ham_->OpenNode(*ctx, node, t, {});
+        if (!opened.ok() || opened->contents != want) ++failures;
+        auto current = ham_->OpenNode(*ctx, node, 0, {});
+        if (!current.ok() || current->contents.rfind("aborted", 0) == 0) {
+          ++failures;
+        }
+        auto versions = ham_->GetNodeVersions(*ctx, node);
+        if (!versions.ok()) {
+          ++failures;
+        } else {
+          for (const VersionEntry& v : versions->major) {
+            seen_versions[r].push_back(v.time);
+          }
+        }
+      } while (!done);
+      ham_->CloseGraph(*ctx);
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(failures, 0);
+  // No aborted version ever showed up in a version list.
+  for (const std::vector<Time>& seen : seen_versions) {
+    for (Time t : seen) EXPECT_EQ(aborted.count(t), 0u) << t;
+  }
+  auto versions = ham_->GetNodeVersions(ctx_, node);
+  ASSERT_TRUE(versions.ok());
+  EXPECT_EQ(versions->major.size(), committed.size());
+  // Every committed version still reads back, after recovery too.
+  Reopen();
+  for (const auto& [time, text] : committed) {
+    auto opened = ham_->OpenNode(ctx_, node, time, {});
+    ASSERT_TRUE(opened.ok()) << time;
+    EXPECT_EQ(opened->contents, text) << time;
+  }
 }
 
 }  // namespace

@@ -3,11 +3,18 @@
 // contents, attributes and query results at the current time AND at
 // random historical times — with transactions (commit and abort) and
 // full engine restarts (recovery) injected along the way.
+//
+// The DeepHistories instantiation sends most modifies and attribute
+// sets to two hot nodes, so their histories pass 200 entries and span
+// several shared chunks, and mixes in more aborted transactions and
+// PruneHistory calls.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
+#include <ostream>
 #include <set>
 
 #include "common/random.h"
@@ -74,8 +81,17 @@ struct Model {
   std::map<LinkIndex, ModelLink> links;
 };
 
+struct FuzzMode {
+  int seed = 0;
+  bool deep = false;  // hot nodes, prunes, more aborts
+};
+
+// Prints the seed alone, so the instantiations keep the test names
+// `Seeds/…/<seed>` and `DeepHistories/…/<seed>`.
+void PrintTo(const FuzzMode& mode, std::ostream* os) { *os << mode.seed; }
+
 class HamModelFuzzTest : public HamTestBase,
-                         public ::testing::WithParamInterface<int> {
+                         public ::testing::WithParamInterface<FuzzMode> {
  protected:
   void SetUp() override {
     HamTestBase::SetUp();
@@ -102,6 +118,15 @@ class HamModelFuzzTest : public HamTestBase,
     return out;
   }
 
+  // A target node: in deep mode usually one of the two oldest live
+  // nodes, so their histories grow deep.
+  NodeIndex Pick(Random* rng, const std::vector<NodeIndex>& live) {
+    if (GetParam().deep && !rng->OneIn(10)) {
+      return live[rng->Uniform(std::min<size_t>(2, live.size()))];
+    }
+    return live[rng->Uniform(live.size())];
+  }
+
   // ---- operations against BOTH engine and model ------------------
 
   void DoAddNode(Random* rng) {
@@ -117,7 +142,7 @@ class HamModelFuzzTest : public HamTestBase,
   void DoModifyNode(Random* rng) {
     auto live = LiveWorkingNodes();
     if (live.empty()) return;
-    const NodeIndex n = live[rng->Uniform(live.size())];
+    const NodeIndex n = Pick(rng, live);
     auto opened = ham_->OpenNode(ctx_, n, 0, {});
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     std::vector<AttachmentUpdate> updates;
@@ -170,7 +195,7 @@ class HamModelFuzzTest : public HamTestBase,
   void DoSetAttr(Random* rng) {
     auto live = LiveWorkingNodes();
     if (live.empty()) return;
-    const NodeIndex n = live[rng->Uniform(live.size())];
+    const NodeIndex n = Pick(rng, live);
     const AttributeIndex attr = rng->OneIn(2) ? kind_ : owner_;
     const std::string value = kValues[rng->Uniform(3)];
     ASSERT_TRUE(ham_->SetNodeAttributeValue(ctx_, n, attr, value).ok());
@@ -180,13 +205,24 @@ class HamModelFuzzTest : public HamTestBase,
   void DoDeleteAttr(Random* rng) {
     auto live = LiveWorkingNodes();
     if (live.empty()) return;
-    const NodeIndex n = live[rng->Uniform(live.size())];
+    const NodeIndex n = Pick(rng, live);
     const AttributeIndex attr = rng->OneIn(2) ? kind_ : owner_;
     ASSERT_TRUE(ham_->DeleteNodeAttribute(ctx_, n, attr).ok());
     ModelNode& node = Working().nodes[n];
     if (node.attrs.count(attr) != 0 && !node.attrs[attr].empty()) {
       node.attrs[attr].emplace_back(Now(), std::nullopt);
     }
+  }
+
+  // Drops history before a recent time. Reads at or after the horizon
+  // are unaffected, so the model only stops checking earlier times.
+  void DoPrune(Random* rng, const std::vector<Time>& interesting_times) {
+    if (interesting_times.empty()) return;
+    const Time before =
+        interesting_times[rng->Uniform(interesting_times.size())];
+    if (before <= prune_horizon_) return;
+    ASSERT_TRUE(ham_->PruneHistory(ctx_, before).ok());
+    prune_horizon_ = before;
   }
 
   // ---- transaction plumbing for the model -------------------------
@@ -342,27 +378,39 @@ class HamModelFuzzTest : public HamTestBase,
 
   AttributeIndex kind_ = 0;
   AttributeIndex owner_ = 0;
+  Time prune_horizon_ = 0;  // historical reads before it are not checked
   Model committed_;
   Model staged_;
   bool in_txn_ = false;
 };
 
 TEST_P(HamModelFuzzTest, RandomOperationsMatchModel) {
-  Random rng(90210 + GetParam());
+  const bool deep = GetParam().deep;
+  Random rng(90210 + GetParam().seed);
   std::vector<Time> interesting_times;
+  // Only times at or after the prune horizon are still readable.
+  auto verify_at_random_time = [&] {
+    const Time t = interesting_times[rng.Uniform(interesting_times.size())];
+    if (t >= prune_horizon_) VerifyAt(&rng, t);
+  };
 
-  for (int step = 0; step < 250; ++step) {
-    // Occasionally open/close a transaction around a run of ops.
+  const int steps = deep ? 800 : 250;
+  for (int step = 0; step < steps; ++step) {
+    // Occasionally open/close a transaction around a run of ops; deep
+    // runs abort half of them midway.
     if (!in_txn_ && rng.OneIn(12)) {
       BeginTxn();
     } else if (in_txn_ && rng.OneIn(4)) {
-      EndTxn(/*commit=*/!rng.OneIn(3));
+      EndTxn(/*commit=*/deep ? rng.OneIn(2) : !rng.OneIn(3));
     }
 
     const uint64_t pick = rng.Uniform(100);
-    // Pre-stage the target object copy where needed.
-    if (pick < 25) {
+    // Deep runs add few nodes, so the hot ones take most of the writes.
+    const uint64_t add_below = deep ? 4 : 25;
+    if (pick < add_below) {
       DoAddNode(&rng);
+    } else if (deep && pick < 6) {
+      if (!in_txn_) DoPrune(&rng, interesting_times);
     } else {
       // Stage model copies so in-transaction mutations of pre-existing
       // objects land on full histories, mirroring the engine's COW.
@@ -370,7 +418,7 @@ TEST_P(HamModelFuzzTest, RandomOperationsMatchModel) {
       for (LinkIndex l : LiveWorkingLinks()) EnsureStagedLink(l);
       if (pick < 45) {
         DoModifyNode(&rng);
-      } else if (pick < 52) {
+      } else if (pick < (deep ? 46 : 52)) {
         DoDeleteNode(&rng);
       } else if (pick < 67) {
         DoAddLink(&rng);
@@ -396,17 +444,41 @@ TEST_P(HamModelFuzzTest, RandomOperationsMatchModel) {
       }
       VerifyAt(&rng, 0);
       for (int k = 0; k < 3 && !interesting_times.empty(); ++k) {
-        VerifyAt(&rng,
-                 interesting_times[rng.Uniform(interesting_times.size())]);
+        verify_at_random_time();
       }
     }
   }
   if (in_txn_) EndTxn(true);
   VerifyAt(&rng, 0);
-  for (Time t : interesting_times) VerifyAt(&rng, t);
+  for (Time t : interesting_times) {
+    if (t >= prune_horizon_) VerifyAt(&rng, t);
+  }
+  if (deep) {
+    // The hot nodes' histories outgrew several shared chunks.
+    size_t deepest = 0;
+    for (const auto& [index, node] : committed_.nodes) {
+      (void)index;
+      size_t entries = node.versions.size();
+      for (const auto& [attr, history] : node.attrs) {
+        (void)attr;
+        entries += history.size();
+      }
+      deepest = std::max(deepest, entries);
+    }
+    EXPECT_GT(deepest, 200u);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, HamModelFuzzTest, ::testing::Range(0, 8));
+std::vector<FuzzMode> Modes(int count, bool deep) {
+  std::vector<FuzzMode> out;
+  for (int seed = 0; seed < count; ++seed) out.push_back({seed, deep});
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, HamModelFuzzTest,
+                         ::testing::ValuesIn(Modes(8, false)));
+INSTANTIATE_TEST_SUITE_P(DeepHistories, HamModelFuzzTest,
+                         ::testing::ValuesIn(Modes(4, true)));
 
 }  // namespace
 }  // namespace ham

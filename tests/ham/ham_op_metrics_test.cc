@@ -253,6 +253,83 @@ TEST_F(HamOpMetricsTest, EveryOpRecordsOneSampleInItsClass) {
   }
 }
 
+// ham.overlay.copy_bytes counts what a write's copy-on-write
+// duplicates: scalars, current contents and unshared history tails.
+// The shared history chunks are not copied, so a write to a deep node
+// copies no more than one to a shallow node with the same contents,
+// plus one tail.
+class HamOverlayCopyTest : public HamTestBase {
+ protected:
+  static uint64_t CopiedBytes() {
+    const auto counters = MetricsRegistry::Instance().Snapshot().counters;
+    auto it = counters.find("ham.overlay.copy_bytes");
+    return it == counters.end() ? 0 : it->second;
+  }
+
+  // A node with `versions` versions (its creation included) whose
+  // contents alternate between two same-sized texts, ending on kText.
+  NodeIndex NodeWithVersions(int versions) {
+    auto added = ham_->AddNode(ctx_, true);
+    EXPECT_TRUE(added.ok());
+    Time expected = added->creation_time;
+    for (int v = versions - 1; v > 0; --v) {
+      EXPECT_TRUE(ham_->ModifyNode(ctx_, added->node, expected,
+                                   v % 2 == 1 ? kText : kOtherText, {}, "edit")
+                      .ok());
+      expected = *ham_->GetNodeTimeStamp(ctx_, added->node);
+    }
+    return added->node;
+  }
+
+  // Bytes copied by one more modifyNode of `node`.
+  uint64_t BytesCopiedByModify(NodeIndex node) {
+    const Time expected = *ham_->GetNodeTimeStamp(ctx_, node);
+    const uint64_t before = CopiedBytes();
+    EXPECT_TRUE(
+        ham_->ModifyNode(ctx_, node, expected, kOtherText, {}, "edit").ok());
+    return CopiedBytes() - before;
+  }
+
+  const std::string kText = std::string(2048, 'a') + "\n";
+  const std::string kOtherText = std::string(2048, 'b') + "\n";
+};
+
+TEST_F(HamOverlayCopyTest, DeepWriteCopiesNoMoreThanShallowPlusOneTail) {
+  const NodeIndex shallow = NodeWithVersions(2);
+  // 1024 versions fill one tail of every history the write touches
+  // (versions, deltas, and keyframes every 16th version).
+  const NodeIndex full_tail = NodeWithVersions(1024);
+  const NodeIndex deep = NodeWithVersions(4096);
+
+  const uint64_t shallow_bytes = BytesCopiedByModify(shallow);
+  const uint64_t one_tail = BytesCopiedByModify(full_tail) - shallow_bytes;
+  const uint64_t deep_bytes = BytesCopiedByModify(deep);
+  EXPECT_GE(shallow_bytes, kText.size());  // the current contents
+  EXPECT_LE(deep_bytes, shallow_bytes + one_tail);
+  // A whole-history copy would duplicate every one of the 4096 version
+  // entries and deltas.
+  EXPECT_LT(deep_bytes, 4096 * sizeof(delta::VersionInfo));
+}
+
+TEST_F(HamOverlayCopyTest, ExplicitTransactionCopiesOnce) {
+  const NodeIndex node = NodeWithVersions(300);
+  ASSERT_TRUE(ham_->BeginTransaction(ctx_).ok());
+  std::vector<uint64_t> copied;
+  for (int i = 0; i < 3; ++i) {
+    const Time expected = *ham_->GetNodeTimeStamp(ctx_, node);
+    const uint64_t before = CopiedBytes();
+    ASSERT_TRUE(ham_->ModifyNode(ctx_, node, expected,
+                                 i % 2 == 0 ? kOtherText : kText, {}, "edit")
+                    .ok());
+    copied.push_back(CopiedBytes() - before);
+  }
+  ASSERT_TRUE(ham_->CommitTransaction(ctx_).ok());
+  // The first write stages the record; the others reuse the overlay's.
+  EXPECT_GE(copied[0], kText.size());
+  EXPECT_EQ(copied[1], 0u);
+  EXPECT_EQ(copied[2], 0u);
+}
+
 }  // namespace
 }  // namespace ham
 }  // namespace neptune

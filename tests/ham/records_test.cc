@@ -112,8 +112,12 @@ TEST(NodeRecordTest, CodecRoundTrip) {
   EXPECT_EQ(decoded->minor_versions[0].explanation, "addLink");
   EXPECT_EQ(*decoded->attributes.Get(1, 0), "text");
   EXPECT_EQ(decoded->demons.Get(Event::kModifyNode, 0), "recompile");
-  EXPECT_EQ(decoded->out_links, (std::vector<LinkIndex>{1, 2, 3}));
-  EXPECT_EQ(decoded->in_links, (std::vector<LinkIndex>{9}));
+  EXPECT_EQ(std::vector<LinkIndex>(decoded->out_links.begin(),
+                                   decoded->out_links.end()),
+            (std::vector<LinkIndex>{1, 2, 3}));
+  EXPECT_EQ(std::vector<LinkIndex>(decoded->in_links.begin(),
+                                   decoded->in_links.end()),
+            (std::vector<LinkIndex>{9}));
 }
 
 TEST(LinkRecordTest, CodecRoundTrip) {
@@ -141,6 +145,92 @@ TEST(LinkRecordTest, CodecRoundTrip) {
   EXPECT_FALSE(decoded->to.track_current);
   EXPECT_EQ(decoded->to.pinned_time, 9u);
   EXPECT_EQ(*decoded->attributes.Get(3, 0), "isPartOf");
+}
+
+// 64-bit FNV-1a: pins encodings too long to spell out as literals.
+uint64_t Fingerprint(std::string_view bytes) {
+  uint64_t hash = 1469598103934665603ull;
+  for (char c : bytes) {
+    hash ^= static_cast<uint8_t>(c);
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+// A node whose every history spans chunk boundaries.
+NodeRecord DeepNode() {
+  NodeRecord node;
+  node.index = 7;
+  node.created = 1;
+  node.contents.set_keyframe_interval(16);
+  std::string text;
+  for (Time t = 1; t <= 150; ++t) {
+    text += "line " + std::to_string(t) + "\n";
+    EXPECT_TRUE(node.contents.Append(10 * t, text, "edit").ok());
+    node.minor_versions.push_back(VersionEntry{10 * t + 1, "setAttribute"});
+    node.attributes.Set(1, 10 * t + 1, "v" + std::to_string(t % 7), true);
+    if (t % 2 == 0) {
+      node.demons.Set(Event::kModifyNode, 10 * t + 2,
+                      "demon " + std::to_string(t));
+    }
+    node.out_links.push_back(2 * t);
+    if (t % 3 == 0) node.in_links.push_back(2 * t + 1);
+  }
+  return node;
+}
+
+LinkRecord DeepLink() {
+  LinkRecord link;
+  link.index = 9;
+  link.created = 3;
+  link.from.node = 7;
+  link.to.node = 8;
+  link.to.track_current = false;
+  link.to.pinned_time = 30;
+  for (Time t = 1; t <= 130; ++t) {
+    link.from.positions.push_back({10 * t, 3 * t});
+    link.attributes.Set(2, 10 * t, "w" + std::to_string(t), true);
+  }
+  link.to.positions.push_back({10, 0});
+  return link;
+}
+
+// Records whose histories span chunk boundaries encode exactly as the
+// flat-vector representation did (fingerprints recorded before
+// histories were chunked), so snapshots are unchanged.
+TEST(NodeRecordTest, ChunkedHistoriesEncodeToGoldenBytes) {
+  std::string node_bytes;
+  DeepNode().EncodeTo(&node_bytes);
+  EXPECT_EQ(node_bytes.size(), 13496u);
+  EXPECT_EQ(Fingerprint(node_bytes), 2037416543288954052ull);
+  std::string link_bytes;
+  DeepLink().EncodeTo(&link_bytes);
+  EXPECT_EQ(link_bytes.size(), 1404u);
+  EXPECT_EQ(Fingerprint(link_bytes), 13143637340348956691ull);
+
+  std::string_view in = node_bytes;
+  Result<NodeRecord> node = NodeRecord::DecodeFrom(&in);
+  ASSERT_TRUE(node.ok());
+  std::string reencoded;
+  node->EncodeTo(&reencoded);
+  EXPECT_EQ(reencoded, node_bytes);
+}
+
+TEST(NodeRecordTest, CopyLeavesTheOriginalUnchanged) {
+  const NodeRecord original = DeepNode();
+  std::string before;
+  original.EncodeTo(&before);
+  NodeRecord copy = original;
+  for (Time t = 151; t <= 350; ++t) {
+    ASSERT_TRUE(copy.contents.Append(10 * t, "copy", "edit").ok());
+    copy.minor_versions.push_back(VersionEntry{10 * t + 1, "addLink"});
+    copy.out_links.push_back(1000 + t);
+    copy.demons.Set(Event::kModifyNode, 10 * t + 2, "copy demon");
+  }
+  copy.minor_versions.DropFront(100);
+  std::string after;
+  original.EncodeTo(&after);
+  EXPECT_EQ(after, before);
 }
 
 TEST(AttributeTableTest, InternAndLookup) {
