@@ -5,7 +5,8 @@
 // Measures aggregate ops/sec of openNode and getGraphQuery at 1..8
 // reader threads, through the in-process engine and through the RPC
 // server — one connection per reader, and (since PR 6) all readers
-// multiplexed onto a single pipelined connection.
+// multiplexed onto a single connection, where their calls overlap and
+// go out tagged.
 //
 // Expected shape: near-linear scaling of reader throughput with
 // threads while the (throttled) writer keeps taking the exclusive
@@ -41,10 +42,7 @@ struct ConcurrencyFixture {
     }
     server = std::make_unique<rpc::Server>(graph.ham());
     port = *server->Start(0);
-    rpc::RemoteHam::Options pipeline_options;
-    pipeline_options.pipeline = true;
-    pipelined = std::move(
-        *rpc::RemoteHam::Connect("localhost", port, pipeline_options));
+    pipelined = std::move(*rpc::RemoteHam::Connect("localhost", port));
   }
 
   ~ConcurrencyFixture() {
@@ -57,7 +55,7 @@ struct ConcurrencyFixture {
   std::vector<ham::NodeIndex> nodes;
   std::unique_ptr<rpc::Server> server;
   uint16_t port = 0;
-  // One pipelined connection shared by every reader thread.
+  // One connection shared by every reader thread.
   std::unique_ptr<rpc::RemoteHam> pipelined;
 };
 
@@ -175,9 +173,10 @@ void BM_RemoteGraphQuery(benchmark::State& state) {
 BENCHMARK(BM_RemoteOpenNode)->Apply(ReaderThreads);
 BENCHMARK(BM_RemoteGraphQuery)->Apply(ReaderThreads);
 
-// All readers share ONE pipelined connection (PR 6): the requests
-// interleave on a single socket with ids, completing out of order, so
-// N threads need neither N connections nor N server-side readers.
+// All readers share ONE connection (PR 6): their calls overlap, so the
+// requests interleave on a single socket with ids, completing out of
+// order, and N threads need neither N connections nor N server-side
+// readers. A single reader's calls go out plain.
 void BM_RemoteOpenNodeSharedPipelined(benchmark::State& state) {
   ConcurrencyFixture* f = Fixture();
   auto ctx = f->pipelined->OpenGraph(f->graph.project(), "localhost",

@@ -15,6 +15,7 @@
 #include <benchmark/benchmark.h>
 
 #include <deque>
+#include <mutex>
 
 #include "bench/bench_util.h"
 #include "common/coding.h"
@@ -31,12 +32,7 @@ struct RpcFixture {
     server = std::make_unique<rpc::Server>(graph.ham());
     port = *server->Start(0);
     client = std::move(*rpc::RemoteHam::Connect("localhost", port));
-    rpc::RemoteHam::Options pipeline_options;
-    pipeline_options.pipeline = true;
-    // Room for 8 bench threads with an 8-deep window each.
-    pipeline_options.max_inflight = 128;
-    pipelined = std::move(
-        *rpc::RemoteHam::Connect("localhost", port, pipeline_options));
+    pipelined = std::move(*rpc::RemoteHam::Connect("localhost", port));
     remote_ctx =
         *client->OpenGraph(graph.project(), "localhost", graph.dir());
     for (int i = 0; i < kStations; ++i) {
@@ -71,6 +67,10 @@ struct RpcFixture {
   std::unique_ptr<rpc::Server> server;
   uint16_t port = 0;
   std::unique_ptr<rpc::RemoteHam> client;
+  // Held around each call by the one-in-flight baseline.
+  std::mutex one_in_flight;
+  // Shared by the pipelining benches, whose calls overlap and so go
+  // out tagged.
   std::unique_ptr<rpc::RemoteHam> pipelined;
   ham::Context remote_ctx;
   // One plain connection per workstation thread (BM_..SyncClients).
@@ -118,13 +118,14 @@ void BM_PingRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_PingRoundTrip)->Unit(benchmark::kMicrosecond);
 
 // Pipelining (PR 6). The acceptance pair: 8 threads sharing ONE
-// connection. The classic client admits a single request in flight
-// (its mutex covers send + recv), so 8 threads serialize — that is the
-// one-in-flight baseline. The pipelined client tags requests with ids
-// and completes them out of order, so all 8 ride the wire at once.
+// connection. The baseline admits a single request in flight: a mutex
+// around each call serializes the 8 threads, so every request goes out
+// plain. Without it the calls overlap, go out tagged with ids and
+// complete out of order, so all 8 ride the wire at once.
 void BM_OpenNodeRemoteShared1InFlight(benchmark::State& state) {
   RpcFixture* f = Fixture();
   for (auto _ : state) {
+    std::lock_guard<std::mutex> lock(f->one_in_flight);
     auto opened = f->client->OpenNode(f->remote_ctx, f->nodes[0], 0, {});
     benchmark::DoNotOptimize(opened);
   }

@@ -420,10 +420,7 @@ int RunTop(const std::vector<std::string>& targets, unsigned interval_ms,
 // One client's worth of representative traffic so every metric family
 // on the server moves. Creates (and destroys) a scratch graph under
 // `dir` on the server's filesystem.
-void RunOneWorkload(const std::string& host, uint16_t port,
-                    const std::string& dir,
-                    const rpc::RemoteHam::Options& options) {
-  auto client = Unwrap(rpc::RemoteHam::Connect(host, port, options));
+void RunOneWorkload(rpc::RemoteHam* client, const std::string& dir) {
   auto created = Unwrap(client->CreateGraph(dir, 0755));
   ham::Context ctx =
       Unwrap(client->OpenGraph(created.project, "neptune_ctl", dir));
@@ -468,15 +465,30 @@ void RunOneWorkload(const std::string& host, uint16_t port,
   Check(client->DestroyGraph(created.project, dir));
 }
 
-// Remote `workload`: with --clients N, N concurrent connections each
-// drive the burst against their own scratch graph (`dir-0`, `dir-1`,
-// ...) — a quick way to exercise the server's admission control and
-// session cleanup from the command line.
+// Remote `workload`: with --clients N, N concurrent threads each drive
+// the burst against their own scratch graph (`dir-0`, `dir-1`, ...) —
+// a quick way to exercise the server's admission control and session
+// cleanup from the command line. Each thread dials its own connection,
+// or with `shared` they all share one, where their calls overlap and
+// go out tagged.
 int RemoteWorkload(const std::string& host, uint16_t port,
                    const std::string& dir,
-                   const rpc::RemoteHam::Options& options, int clients) {
+                   const rpc::RemoteHam::Options& options, int clients,
+                   bool shared) {
+  std::unique_ptr<rpc::RemoteHam> shared_client;
+  if (shared) {
+    shared_client = Unwrap(rpc::RemoteHam::Connect(host, port, options));
+  }
+  const auto run = [&](const std::string& graph_dir) {
+    if (shared_client != nullptr) {
+      RunOneWorkload(shared_client.get(), graph_dir);
+      return;
+    }
+    auto client = Unwrap(rpc::RemoteHam::Connect(host, port, options));
+    RunOneWorkload(client.get(), graph_dir);
+  };
   if (clients <= 1) {
-    RunOneWorkload(host, port, dir, options);
+    run(dir);
     std::printf("workload complete against %s:%u (scratch graph %s)\n",
                 host.empty() ? "localhost" : host.c_str(), port, dir.c_str());
     return 0;
@@ -484,9 +496,7 @@ int RemoteWorkload(const std::string& host, uint16_t port,
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(clients));
   for (int i = 0; i < clients; ++i) {
-    threads.emplace_back([&, i] {
-      RunOneWorkload(host, port, dir + "-" + std::to_string(i), options);
-    });
+    threads.emplace_back([&, i] { run(dir + "-" + std::to_string(i)); });
   }
   for (auto& t : threads) t.join();
   std::printf("workload complete against %s:%u (%d clients, scratch graphs "
@@ -632,6 +642,7 @@ int main(int argc, char** argv) {
       if (argc < 4) return Usage();
       rpc::RemoteHam::Options options;
       int clients = 1;
+      bool shared = false;
       for (int i = 4; i + 1 < argc; i += 2) {
         const std::string flag = argv[i];
         const int value = std::atoi(argv[i + 1]);
@@ -644,14 +655,14 @@ int main(int argc, char** argv) {
         } else if (flag == "--clients") {
           clients = value;
         } else if (flag == "--pipeline") {
-          // Multiplex the workload's requests on one tagged connection
-          // (degrades to classic one-in-flight against older servers).
-          options.pipeline = value != 0;
+          // The --clients threads share one connection, where their
+          // calls overlap and go out tagged.
+          shared = value != 0;
         } else {
           return Usage();
         }
       }
-      return RemoteWorkload(host, port, argv[3], options, clients);
+      return RemoteWorkload(host, port, argv[3], options, clients, shared);
     }
     if (command == "promote") {
       auto client = ConnectTo(host, port);

@@ -1,6 +1,7 @@
 #include "rpc/remote_ham.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <type_traits>
 
 #include "common/backoff.h"
@@ -34,21 +35,215 @@ uint32_t ClientSpanNameId(Method method) {
 }
 
 // method byte | trace context when a span is live | request id when
-// non-zero | args, with the extension flags set to match.
-void AppendRequest(Method method, uint64_t request_id, std::string_view args,
-                   std::string* out) {
+// non-zero, with the extension flags set to match; the encoded
+// arguments follow it in the frame.
+std::string RequestHeader(Method method, uint64_t request_id) {
   const TraceContext trace = ScopedSpan::CurrentContext();
   uint8_t first = static_cast<uint8_t>(method);
   if (trace.valid()) first |= kTraceContextFlag;
   if (request_id != 0) first |= kRequestIdFlag;
-  out->reserve(1 + 17 + 10 + args.size());
-  out->push_back(static_cast<char>(first));
-  if (trace.valid()) EncodeTraceContextTo(trace, out);
-  if (request_id != 0) PutVarint64(out, request_id);
-  out->append(args);
+  std::string header(1, static_cast<char>(first));
+  if (trace.valid()) EncodeTraceContextTo(trace, &header);
+  if (request_id != 0) PutVarint64(&header, request_id);
+  return header;
 }
 
 }  // namespace
+
+// ---------------------------------------------------------- connection
+
+// One call in flight. Its caller (or whoever holds its PendingCall)
+// blocks on `cv` under the connection's mutex.
+struct RemoteHam::PendingCall::State {
+  explicit State(std::shared_ptr<Conn> on) : conn(std::move(on)) {}
+
+  // Blocks for the reply frame; returns it with the status header
+  // still in place.
+  Result<std::string> Await();
+
+  // Caller holds conn->mu (when there is a connection), and wakes the
+  // owner through cv.
+  void Fulfill(Status s, std::string r) {
+    done = true;
+    status = std::move(s);
+    reply = std::move(r);
+  }
+
+  const std::shared_ptr<Conn> conn;  // null when the call never started
+  std::condition_variable cv;        // reply in, or the reader role free
+  bool done = false;
+  bool awaited = false;  // someone blocks on cv for the reply
+  Status status;         // transport failure, or OK
+  std::string reply;     // the reply payload (id stripped) when OK
+};
+
+// One connection generation, shared by every call on the client.
+// Callers do the I/O themselves: whoever finds no send in progress
+// drains the outbound buffer, and whoever waits while nobody reads
+// takes the reader role. A transport failure breaks the generation and
+// fails every call on it; the next call dials a fresh one.
+struct RemoteHam::Conn {
+  using CallPtr = std::shared_ptr<PendingCall::State>;
+
+  explicit Conn(std::unique_ptr<FrameStream> s) : stream(std::move(s)) {}
+
+  bool Quiet() const { return plain == nullptr && tagged.empty(); }
+
+  // Fails every call in flight and wakes every waiter. Caller holds mu.
+  void BreakLocked(const Status& status) {
+    if (!broken) {
+      broken = true;
+      error = status;
+      stream->Close();
+    }
+    outbuf.clear();
+    const auto fail = [&status](const CallPtr& call) {
+      call->Fulfill(status, "");
+      call->cv.notify_one();
+    };
+    if (plain != nullptr) fail(plain);
+    plain.reset();
+    for (auto& [id, call] : tagged) fail(call);
+    tagged.clear();
+    send_cv.notify_all();
+  }
+
+  // Hands the outbound buffer to the socket unless another caller is
+  // doing so already; that caller drains what was appended meanwhile
+  // before it lets go, so a burst still costs one send().
+  void FlushLocked(std::unique_lock<std::mutex>* lock) {
+    if (sending) return;
+    sending = true;
+    std::string out;
+    while (!outbuf.empty()) {
+      out.swap(outbuf);
+      lock->unlock();
+      const Status status = stream->SendBytes(out);
+      lock->lock();
+      out.clear();
+      if (!status.ok()) BreakLocked(status);
+    }
+    sending = false;
+    outbuf.swap(out);  // keep the buffer's capacity
+  }
+
+  // Hands one reply frame to its call and returns that call, whose
+  // owner the caller wakes. Caller holds mu.
+  CallPtr DeliverLocked(std::string frame) {
+    CallPtr call = std::move(plain);
+    if (call == nullptr) {
+      std::string_view in = frame;
+      uint64_t id = 0;
+      if (!GetVarint64(&in, &id)) {
+        BreakLocked(Status::Corruption("malformed reply id"));
+        return nullptr;
+      }
+      auto it = tagged.find(id);
+      if (it == tagged.end()) return nullptr;  // not ours: dropped
+      call = std::move(it->second);
+      tagged.erase(it);
+      frame.erase(0, frame.size() - in.size());
+    }
+    call->Fulfill(Status::OK(), std::move(frame));
+    if (send_waiters > 0) send_cv.notify_all();
+    return call;
+  }
+
+  // Blocks on `cv` until `ready()` holds, first sending whatever is
+  // queued. While a reply is due and nobody reads, the waiter reads,
+  // handing each frame to its call, and passes the role on once
+  // `ready()` holds. Nobody reads while no call waits, so an idle
+  // connection never runs into the recv deadline. Caller holds `lock`
+  // on mu.
+  template <typename Ready>
+  void Await(std::unique_lock<std::mutex>* lock, std::condition_variable* cv,
+             Ready ready) {
+    while (!ready()) {
+      if (reading || Quiet()) {
+        if (!outbuf.empty() && !sending) {
+          FlushLocked(lock);
+        } else {
+          cv->wait(*lock);
+        }
+        continue;
+      }
+      reading = true;
+      CallPtr woken;
+      do {
+        if (!outbuf.empty() && !stream->HasBufferedFrame()) FlushLocked(lock);
+        lock->unlock();
+        // Wake the last reply's owner without holding the mutex it
+        // takes first.
+        if (woken != nullptr) woken->cv.notify_one();
+        Result<std::string> frame = stream->RecvFrame();
+        lock->lock();
+        if (frame.ok()) {
+          woken = DeliverLocked(std::move(*frame));
+        } else {
+          woken = nullptr;
+          BreakLocked(frame.status());
+        }
+        // Replies already read from the socket are handed out before
+        // the role passes on.
+      } while (!Quiet() && (!ready() || stream->HasBufferedFrame()));
+      if (woken != nullptr) woken->cv.notify_one();
+      reading = false;
+      // Pass the reader role to a caller still blocked on a reply, or
+      // else to one blocked before sending.
+      PendingCall::State* next =
+          plain != nullptr && plain->awaited ? plain.get() : nullptr;
+      for (auto it = tagged.begin(); next == nullptr && it != tagged.end();
+           ++it) {
+        if (it->second->awaited) next = it->second.get();
+      }
+      if (next != nullptr) {
+        next->cv.notify_one();
+      } else if (send_waiters > 0) {
+        send_cv.notify_all();
+      }
+    }
+  }
+
+  std::mutex mu;  // guards everything below; the I/O runs unlocked
+  const std::unique_ptr<FrameStream> stream;
+  bool broken = false;
+  Status error;
+  // An untagged call is alone on the wire: its reply carries no id,
+  // and the server may answer a tagged request before an earlier
+  // untagged one.
+  CallPtr plain;
+  std::unordered_map<uint64_t, CallPtr> tagged;
+  uint64_t next_id = 1;
+  uint32_t send_waiters = 0;        // callers blocked before sending
+  std::condition_variable send_cv;  // a send may go, or a read is due
+  std::string outbuf;  // framed requests not yet handed to the socket
+  bool sending = false;
+  bool reading = false;
+};
+
+Result<std::string> RemoteHam::PendingCall::State::Await() {
+  if (conn == nullptr) return status;
+  std::unique_lock<std::mutex> lock(conn->mu);
+  awaited = true;
+  conn->Await(&lock, &cv, [this] { return done; });
+  if (!status.ok()) return status;
+  return std::move(reply);
+}
+
+Result<std::string> RemoteHam::PendingCall::Wait() {
+  if (state_ == nullptr) {
+    return Status::InvalidArgument("PendingCall already waited on");
+  }
+  auto state = std::move(state_);
+  NEPTUNE_ASSIGN_OR_RETURN(std::string raw, state->Await());
+  std::string_view in = raw;
+  Status status;
+  if (!DecodeStatusFrom(&in, &status)) {
+    return Status::Corruption("malformed reply status");
+  }
+  NEPTUNE_RETURN_IF_ERROR(status);
+  return std::string(in);
+}
 
 RemoteHam::RemoteHam(std::string host, uint16_t port, const Options& options)
     : host_(std::move(host)),
@@ -59,6 +254,14 @@ RemoteHam::RemoteHam(std::string host, uint16_t port, const Options& options)
       rng_(options.retry_seed != 0
                ? options.retry_seed
                : static_cast<uint64_t>(reinterpret_cast<uintptr_t>(this))) {}
+
+RemoteHam::~RemoteHam() {
+  // A PendingCall that outlives its client reads this failure.
+  if (conn_ != nullptr) {
+    std::lock_guard<std::mutex> lock(conn_->mu);
+    conn_->BreakLocked(Status::NetworkError("client closed"));
+  }
+}
 
 Result<std::unique_ptr<RemoteHam>> RemoteHam::Connect(const std::string& host,
                                                       uint16_t port) {
@@ -90,247 +293,79 @@ Result<std::unique_ptr<RemoteHam>> RemoteHam::Connect(const std::string& host,
   return client;
 }
 
-Result<std::unique_ptr<FrameStream>> RemoteHam::Dial() {
-  if (options_.stream_factory) {
-    return options_.stream_factory(host_, port_, options_.connect_timeout_ms);
+Result<std::shared_ptr<RemoteHam::Conn>> RemoteHam::Connection() {
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  if (conn_ != nullptr) {
+    std::lock_guard<std::mutex> conn_lock(conn_->mu);
+    if (!conn_->broken) return conn_;
   }
-  return FrameStream::Connect(host_, port_, options_.connect_timeout_ms);
+  Result<std::unique_ptr<FrameStream>> stream =
+      options_.stream_factory
+          ? options_.stream_factory(host_, port_, options_.connect_timeout_ms)
+          : FrameStream::Connect(host_, port_, options_.connect_timeout_ms);
+  NEPTUNE_RETURN_IF_ERROR(stream.status());
+  NEPTUNE_RETURN_IF_ERROR((*stream)->SetTimeouts(options_.send_timeout_ms,
+                                                 options_.recv_timeout_ms));
+  if (conn_ != nullptr) NEPTUNE_METRIC_COUNT("rpc.client.reconnects", 1);
+  conn_ = std::make_shared<Conn>(std::move(*stream));
+  return conn_;
 }
 
-Status RemoteHam::ReconnectLocked() {
-  NEPTUNE_ASSIGN_OR_RETURN(std::unique_ptr<FrameStream> stream, Dial());
-  NEPTUNE_RETURN_IF_ERROR(
-      stream->SetTimeouts(options_.send_timeout_ms, options_.recv_timeout_ms));
-  stream_ = std::move(stream);
-  NEPTUNE_METRIC_COUNT("rpc.client.reconnects", 1);
-  return Status::OK();
-}
-
-Result<std::string> RemoteHam::SendAndReceive(std::string_view request,
-                                              bool* sent) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (stream_ == nullptr) NEPTUNE_RETURN_IF_ERROR(ReconnectLocked());
-  *sent = true;
-  Status status = stream_->SendFrame(request);
-  if (status.ok()) {
-    Result<std::string> reply = stream_->RecvFrame();
-    if (reply.ok()) return reply;
-    status = reply.status();
-  }
-  // The connection is no longer in a known state (a partial frame may
-  // be stranded in either direction): drop it.
-  stream_.reset();
-  return status;
-}
-
-// ---------------------------------------------------------- pipeline
-
-struct RemoteHam::PendingCall::State {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  Status status;      // transport/decode failure, or OK
-  std::string reply;  // the reply payload (id stripped) when OK
-
-  void Fulfill(Status s, std::string r) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      if (done) return;
-      done = true;
-      status = std::move(s);
-      reply = std::move(r);
-    }
-    cv.notify_all();
-  }
-
-  // Blocks for the reply frame; returns it with the status header
-  // still in place.
-  Result<std::string> WaitRaw() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return done; });
-    if (!status.ok()) return status;
-    return std::move(reply);
-  }
-};
-
-Result<std::string> RemoteHam::PendingCall::Wait() {
-  if (state_ == nullptr) {
-    return Status::InvalidArgument("PendingCall already waited on");
-  }
-  auto state = std::move(state_);
-  NEPTUNE_ASSIGN_OR_RETURN(std::string raw, state->WaitRaw());
-  std::string_view in = raw;
-  Status status;
-  if (!DecodeStatusFrom(&in, &status)) {
-    return Status::Corruption("malformed reply status");
-  }
-  NEPTUNE_RETURN_IF_ERROR(status);
-  return std::string(in);
-}
-
-// One connection generation. Writers serialize on `mu` (SendFrame is
-// not otherwise thread-safe); the receiver thread takes `mu` only
-// briefly to match a reply to its id. A transport failure marks the
-// generation broken; the next call builds a fresh one.
-struct RemoteHam::PipelineConn {
-  std::mutex mu;
-  std::condition_variable cv;  // slot free / broken
-  std::unique_ptr<FrameStream> stream;
-  bool broken = false;
-  Status error;
-  uint64_t next_id = 1;
-  std::unordered_map<uint64_t, std::shared_ptr<PendingCall::State>> inflight;
-  // Framed requests waiting for the sender thread. Appending here
-  // under mu (same hold as the id registration) keeps the wire order
-  // equal to the registration order.
-  std::string outbuf;
-  std::condition_variable send_cv;
-  bool sender_stop = false;
-
-  // Caller holds mu. Fails everything in flight, wakes everyone.
-  void BreakLocked(const Status& status) {
-    if (!broken) {
-      broken = true;
-      error = status;
-      if (stream != nullptr) stream->Close();
-    }
-    auto failed = std::move(inflight);
-    inflight.clear();
-    cv.notify_all();
-    send_cv.notify_all();
-    mu.unlock();  // Fulfill takes per-pending locks; drop ours first
-    for (auto& [id, pending] : failed) {
-      pending->Fulfill(status, "");
-    }
-    mu.lock();
-  }
-};
-
-RemoteHam::~RemoteHam() {
-  {
-    std::lock_guard<std::mutex> lock(pmu_);
-    if (pconn_ != nullptr) {
-      std::lock_guard<std::mutex> clock(pconn_->mu);
-      pconn_->sender_stop = true;
-      pconn_->send_cv.notify_all();
-      if (pconn_->stream != nullptr) pconn_->stream->Close();
-    }
-  }
-  if (receiver_.joinable()) receiver_.join();
-  if (sender_.joinable()) sender_.join();
-}
-
-void RemoteHam::SenderMain(std::shared_ptr<PipelineConn> conn) {
-  std::string out;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(conn->mu);
-      conn->send_cv.wait(lock, [&] {
-        return conn->sender_stop || conn->broken || !conn->outbuf.empty();
-      });
-      if (conn->sender_stop || conn->broken) return;
-      out.clear();
-      out.swap(conn->outbuf);
-    }
-    Status sent = conn->stream->SendBytes(out);
-    if (!sent.ok()) {
-      std::unique_lock<std::mutex> lock(conn->mu);
-      if (!conn->broken) conn->BreakLocked(sent);
-      return;
-    }
-  }
-}
-
-void RemoteHam::ReceiverMain(std::shared_ptr<PipelineConn> conn) {
-  for (;;) {
-    Result<std::string> frame = conn->stream->RecvFrame();
-    std::unique_lock<std::mutex> lock(conn->mu);
-    if (!frame.ok()) {
-      conn->BreakLocked(frame.status());
-      return;
-    }
-    std::string_view in = *frame;
-    uint64_t id = 0;
-    if (!GetVarint64(&in, &id)) {
-      conn->BreakLocked(Status::Corruption("malformed reply id"));
-      return;
-    }
-    std::shared_ptr<PendingCall::State> pending;
-    auto it = conn->inflight.find(id);
-    if (it != conn->inflight.end()) {
-      pending = std::move(it->second);
-      conn->inflight.erase(it);
-    }
-    conn->cv.notify_all();  // a slot freed
-    lock.unlock();
-    // A reply for an unknown id (already failed locally) is dropped.
-    if (pending != nullptr) pending->Fulfill(Status::OK(), std::string(in));
-  }
-}
-
-Result<std::shared_ptr<RemoteHam::PendingCall::State>>
-RemoteHam::EnqueueTagged(Method method, std::string_view args, bool* sent) {
+Result<std::shared_ptr<RemoteHam::PendingCall::State>> RemoteHam::Start(
+    Method method, std::string_view args, bool* sent) {
   *sent = false;
-  std::shared_ptr<PipelineConn> conn;
-  {
-    std::lock_guard<std::mutex> lock(pmu_);
-    bool need_fresh = pconn_ == nullptr;
-    if (!need_fresh) {
-      std::lock_guard<std::mutex> clock(pconn_->mu);
-      need_fresh = pconn_->broken;
-    }
-    if (need_fresh) {
-      // The previous generation's receiver and sender exit as soon as
-      // its stream breaks (BreakLocked wakes both); neither touches
-      // pmu_, so joining under it is safe.
-      if (receiver_.joinable()) receiver_.join();
-      if (sender_.joinable()) sender_.join();
-      auto fresh = std::make_shared<PipelineConn>();
-      NEPTUNE_ASSIGN_OR_RETURN(fresh->stream, Dial());
-      NEPTUNE_RETURN_IF_ERROR(fresh->stream->SetTimeouts(
-          options_.send_timeout_ms, options_.recv_timeout_ms));
-      if (pconn_ != nullptr) NEPTUNE_METRIC_COUNT("rpc.client.reconnects", 1);
-      pconn_ = fresh;
-      receiver_ = std::thread([this, fresh] { ReceiverMain(fresh); });
-      sender_ = std::thread([this, fresh] { SenderMain(fresh); });
-    }
-    conn = pconn_;
-  }
-
-  const uint32_t max_inflight = std::max<uint32_t>(options_.max_inflight, 1);
+  NEPTUNE_ASSIGN_OR_RETURN(std::shared_ptr<Conn> conn, Connection());
+  const size_t max_inflight = std::max<uint32_t>(options_.max_inflight, 1);
   std::unique_lock<std::mutex> lock(conn->mu);
-  conn->cv.wait(lock, [&] {
-    return conn->broken || conn->inflight.size() < max_inflight;
-  });
+  const auto may_send = [&] {
+    return conn->broken || (conn->plain == nullptr &&
+                            conn->tagged.size() < max_inflight);
+  };
+  // A caller that has to wait has seen its calls overlap: it sends
+  // tagged, and so does every caller that finds another call in flight
+  // or waiting. Only a call alone on the connection goes out plain.
+  const bool waited = !may_send();
+  if (waited) {
+    ++conn->send_waiters;
+    conn->Await(&lock, &conn->send_cv, may_send);
+    --conn->send_waiters;
+  }
   if (conn->broken) return conn->error;
+  const bool quiet = conn->Quiet();
+  const bool tag = waited || !quiet || conn->send_waiters > 0;
 
-  uint64_t id;
-  const uint64_t override_id =
-      next_id_override_.exchange(0, std::memory_order_relaxed);
-  if (override_id != 0) conn->next_id = override_id;
-  do {
-    id = conn->next_id++;
-    if (conn->next_id == 0) conn->next_id = 1;  // ids wrap, skipping 0
-  } while (id == 0 || conn->inflight.count(id) != 0);
-
-  std::string request;
-  AppendRequest(method, id, args, &request);
-
-  if (request.size() > conn->stream->max_frame_bytes()) {
+  uint64_t id = 0;
+  if (tag) {
+    const uint64_t override_id =
+        next_id_override_.exchange(0, std::memory_order_relaxed);
+    if (override_id != 0) conn->next_id = override_id;
+    do {
+      id = conn->next_id++;
+      if (conn->next_id == 0) conn->next_id = 1;  // ids wrap, skipping 0
+    } while (id == 0 || conn->tagged.count(id) != 0);
+  }
+  const std::string header = RequestHeader(method, id);
+  const size_t size = header.size() + args.size();
+  if (size > conn->stream->max_frame_bytes()) {
     return Status::InvalidArgument(
-        "frame payload of " + std::to_string(request.size()) +
+        "frame payload of " + std::to_string(size) +
         " bytes exceeds limit of " +
         std::to_string(conn->stream->max_frame_bytes()));
   }
-  auto pending = std::make_shared<PendingCall::State>();
-  conn->inflight.emplace(id, pending);
+  auto call = std::make_shared<PendingCall::State>(conn);
+  if (tag) {
+    conn->tagged.emplace(id, call);
+  } else {
+    conn->plain = call;
+  }
+  AppendFrame(header, args, &conn->outbuf);
   *sent = true;
-  // Hand the framed request to the sender thread: a burst of calls
-  // coalesces into one send() syscall, and a send failure surfaces as
-  // BreakLocked failing every pending call (this one included).
-  AppendFrame("", request, &conn->outbuf);
-  conn->send_cv.notify_one();
-  return pending;
+  // A call alone on the connection goes out now. Others ride the next
+  // send, at the latest when a caller next blocks on the connection,
+  // so a window of async calls costs one send(). A send failure breaks
+  // the connection, failing this call with it.
+  if (quiet) conn->FlushLocked(&lock);
+  return call;
 }
 
 Result<std::string> RemoteHam::Call(Method method, std::string_view args) {
@@ -338,22 +373,15 @@ Result<std::string> RemoteHam::Call(Method method, std::string_view args) {
   // spans under this one via the propagated context, so the gap
   // between this span and the server's is wire + queueing time.
   ScopedSpan span(ClientSpanNameId(method));
-  std::string request;
-  if (!options_.pipeline) AppendRequest(method, /*request_id=*/0, args,
-                                        &request);
-
   for (uint32_t attempt = 0;; ++attempt) {
     // `sent` distinguishes "the pipe broke before the request left"
     // (always safe to retry) from "the request may have executed"
-    // (safe only for idempotent methods). Only this step differs
-    // between the two paths: one request on the connection at a time,
-    // or a tagged request among others in flight.
+    // (safe only for idempotent methods).
     bool sent = false;
     Result<std::string> raw = [&]() -> Result<std::string> {
-      if (!options_.pipeline) return SendAndReceive(request, &sent);
-      NEPTUNE_ASSIGN_OR_RETURN(std::shared_ptr<PendingCall::State> pending,
-                               EnqueueTagged(method, args, &sent));
-      return pending->WaitRaw();
+      NEPTUNE_ASSIGN_OR_RETURN(std::shared_ptr<PendingCall::State> call,
+                               Start(method, args, &sent));
+      return call->Await();
     }();
     if (raw.ok()) {
       std::string_view in = *raw;
@@ -410,28 +438,14 @@ Result<std::string> RemoteHam::Call(Method method, std::string_view args) {
 RemoteHam::PendingCall RemoteHam::CallAsync(Method method,
                                             std::string_view args) {
   PendingCall call;
-  call.state_ = std::make_shared<PendingCall::State>();
-  if (options_.pipeline) {
-    bool sent = false;
-    auto pending = EnqueueTagged(method, args, &sent);
-    if (pending.ok()) {
-      call.state_ = *pending;
-      return call;
-    }
-    call.state_->Fulfill(pending.status(), "");
-    return call;
-  }
-  // No pipeline: execute synchronously and hand back the answer,
-  // re-framing it the way a tagged reply would look (status + body) so
-  // Wait() decodes both shapes identically.
-  Result<std::string> reply = Call(method, args);
-  if (!reply.ok()) {
-    call.state_->Fulfill(reply.status(), "");
+  bool sent = false;
+  Result<std::shared_ptr<PendingCall::State>> started =
+      Start(method, args, &sent);
+  if (started.ok()) {
+    call.state_ = std::move(*started);
   } else {
-    std::string framed;
-    EncodeStatusTo(Status::OK(), &framed);
-    framed.append(*reply);
-    call.state_->Fulfill(Status::OK(), std::move(framed));
+    call.state_ = std::make_shared<PendingCall::State>(nullptr);
+    call.state_->Fulfill(started.status(), "");
   }
   return call;
 }

@@ -8,14 +8,12 @@
 #define NEPTUNE_RPC_REMOTE_HAM_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <unordered_map>
 
@@ -46,12 +44,8 @@ class RemoteHam final : public ham::HamInterface {
     uint32_t backoff_initial_ms = 10;
     uint32_t backoff_max_ms = 1000;
     uint64_t retry_seed = 0;       // 0 = derive per client
-    // Pipelined mode: requests carry the kRequestIdFlag extension and
-    // up to max_inflight of them ride the connection concurrently,
-    // completing out of order. Otherwise each request has the
-    // connection to itself until its reply arrives.
-    bool pipeline = false;
-    uint32_t max_inflight = 64;  // clamped to >= 1
+    // Cap on requests in flight on the connection (clamped to >= 1).
+    uint32_t max_inflight = 64;
     // Follower-read routing: when follower_host is set, Connect also
     // dials a follower replica, OpenGraph opens a shadow session on
     // it, and curated idempotent reads are served there whenever the
@@ -83,9 +77,10 @@ class RemoteHam final : public ham::HamInterface {
         stream_factory;
   };
 
-  // A tagged request in flight; Wait() blocks for the reply. Obtained
-  // from CallAsync. Handles are one-shot single-owner values: Wait()
-  // may be called once, from any thread.
+  // A request in flight; Wait() blocks for the reply. Obtained from
+  // CallAsync. Handles are one-shot single-owner values: Wait() may be
+  // called once, from any thread, also after the client is gone (it
+  // then fails).
   class PendingCall {
    public:
     // Returns the reply's result payload (after the status header);
@@ -116,12 +111,13 @@ class RemoteHam final : public ham::HamInterface {
   // Round-trip liveness probe.
   Status Ping();
 
-  // Issues one request without waiting for the reply. In pipelined
-  // mode (Options::pipeline) many of these ride the connection
-  // concurrently; otherwise the call executes synchronously before
-  // returning, so the handle is merely pre-resolved. `args` is the
-  // encoded argument block exactly as the typed sync wrappers build it
-  // (rpc/codec.h).
+  // Issues one request without waiting for the reply, so several ride
+  // the connection at once. A request alone on the connection goes
+  // out before CallAsync returns; one that overlaps others rides the
+  // next send, at the latest when a caller on this client next blocks
+  // (a sync call, or Wait()), so a window of async calls costs one
+  // send(). `args` is the encoded argument block exactly as the typed
+  // sync wrappers build it (rpc/codec.h).
   PendingCall CallAsync(Method method, std::string_view args);
 
   // Batch operations (one round trip each; all idempotent). ----------
@@ -320,7 +316,10 @@ class RemoteHam final : public ham::HamInterface {
   RemoteHam(std::string host, uint16_t port, const Options& options);
 
   // Sends one request and returns the reply's result payload (after
-  // the status header); non-OK replies become that Status.
+  // the status header); non-OK replies become that Status. Every call,
+  // sync or CallAsync, shares one connection: a call alone on it goes
+  // out plain (no request id), and calls that overlap go out tagged
+  // and complete out of order.
   //
   // Transport failures (kNetworkError / kUnavailable /
   // kDeadlineExceeded) kill the connection. Reconnecting and re-sending
@@ -336,47 +335,32 @@ class RemoteHam final : public ham::HamInterface {
   auto Invoke(Method method, const Args&... args)
       -> std::conditional_t<std::is_void_v<R>, Status, Result<R>>;
 
-  // One attempt on the one-in-flight connection: send `request`, wait
-  // for the reply frame. `*sent` reports whether bytes may have reached
-  // the server.
-  Result<std::string> SendAndReceive(std::string_view request, bool* sent);
+  // One connection generation; replaced wholesale on transport
+  // failure.
+  struct Conn;
 
-  // Re-establishes stream_ (with deadlines armed). Caller holds mu_.
-  Status ReconnectLocked();
+  // The live connection, dialed (through Options::stream_factory, or
+  // real TCP) when there is none or the last one broke.
+  Result<std::shared_ptr<Conn>> Connection();
 
-  // Dials the server through Options::stream_factory (or real TCP).
-  Result<std::unique_ptr<FrameStream>> Dial();
+  // Registers one call on the connection and sends its request; the
+  // returned state's Await() blocks for the reply. `*sent` reports
+  // whether bytes may have reached the server (governs idempotent-only
+  // resends).
+  Result<std::shared_ptr<PendingCall::State>> Start(Method method,
+                                                    std::string_view args,
+                                                    bool* sent);
 
   // Marks whether `ctx` has an open transaction (follower routing).
   void SetInTransaction(ham::Context ctx, bool in_txn);
-
-  // Pipelined path ---------------------------------------------------
-
-  // One connection generation shared by callers and the receiver
-  // thread; replaced wholesale on transport failure.
-  struct PipelineConn;
-
-  // Registers an id, sends the tagged request, returns the pending
-  // state. `*sent` reports whether bytes may have reached the server
-  // (governs idempotent-only resends).
-  Result<std::shared_ptr<PendingCall::State>> EnqueueTagged(
-      Method method, std::string_view args, bool* sent);
-
-  // Drains replies for one connection generation; exits when the
-  // stream dies, failing everything still in flight.
-  void ReceiverMain(std::shared_ptr<PipelineConn> conn);
-  // Drains the generation's outbound buffer to the socket. Batching
-  // the writes here means a burst of pipelined calls costs one send()
-  // instead of one per request.
-  void SenderMain(std::shared_ptr<PipelineConn> conn);
 
   const std::string host_;
   const uint16_t port_;
   const Options options_;
   TimeSource* time_;  // Options::time_source or the real clock
 
-  std::mutex mu_;  // one request in flight per connection
-  std::unique_ptr<FrameStream> stream_;  // null between connections
+  std::mutex conn_mu_;  // guards conn_ swaps
+  std::shared_ptr<Conn> conn_;
   std::mutex rng_mu_;
   Random rng_;  // backoff jitter; guarded by rng_mu_
   std::atomic<uint64_t> next_id_override_{0};
@@ -410,11 +394,6 @@ class RemoteHam final : public ham::HamInterface {
     NEPTUNE_METRIC_COUNT("repl.client.fallback_to_primary", 1);
     return std::nullopt;
   }
-
-  std::mutex pmu_;  // guards pconn_ swaps and thread lifecycles
-  std::shared_ptr<PipelineConn> pconn_;
-  std::thread receiver_;
-  std::thread sender_;
 
   // Follower connection (null unless Options::follower_host is set and
   // the dial succeeded) plus primary-session → shadow-session state.

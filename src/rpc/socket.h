@@ -59,6 +59,11 @@ class FrameStream {
   // recv timeout is armed and expires.
   virtual Result<std::string> RecvFrame();
 
+  // True when a frame already read from the socket waits here, so the
+  // next RecvFrame returns it without blocking. Streams that override
+  // RecvFrame report false.
+  bool HasBufferedFrame() const { return pending_off_ < pending_.size(); }
+
   // Shuts the connection down, unblocking a send/recv in progress on
   // another thread. The fd itself is released by the destructor, which
   // must not run until those threads are done with the stream.

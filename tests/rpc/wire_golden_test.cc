@@ -268,9 +268,9 @@ class CannedHam final : public ham::HamInterface {
 };
 
 // An in-memory connection to a RequestDispatcher. It records every
-// request payload and the reply the dispatcher produced for it. Plain
-// requests arrive through SendFrame; tagged ones (the pipelined path)
-// arrive already framed through SendBytes and are answered tagged.
+// request payload and the reply the dispatcher produced for it.
+// Requests arrive framed through SendBytes; tagged ones are answered
+// tagged.
 class LoopbackStream final : public FrameStream {
  public:
   struct Exchange {
@@ -283,11 +283,6 @@ class LoopbackStream final : public FrameStream {
       : FrameStream(-1), dispatcher_(dispatcher), log_(log), log_mu_(log_mu) {}
 
   Status SetTimeouts(int, int) override { return Status::OK(); }
-
-  Status SendFrame(std::string_view payload) override {
-    Serve(payload);
-    return Status::OK();
-  }
 
   Status SendBytes(std::string_view bytes) override {
     std::vector<std::string> payloads;
@@ -571,9 +566,8 @@ class WireGoldenTest : public ::testing::Test {
     Tracer::Instance().Configure(0, 0);
   }
 
-  std::unique_ptr<RemoteHam> Connect(bool pipeline) {
+  std::unique_ptr<RemoteHam> Connect() {
     RemoteHam::Options options;
-    options.pipeline = pipeline;
     options.max_retries = 0;
     options.stream_factory = [this](const std::string&, uint16_t, int)
         -> Result<std::unique_ptr<FrameStream>> {
@@ -799,7 +793,7 @@ TEST_F(WireGoldenTest, EveryMethodHasAGoldenExchange) {
 }
 
 TEST_F(WireGoldenTest, RequestsAndRepliesMatchRecordedBytes) {
-  std::unique_ptr<RemoteHam> client = Connect(/*pipeline=*/false);
+  std::unique_ptr<RemoteHam> client = Connect();
   ASSERT_NE(client, nullptr);
   for (const auto& [name, call] : GoldenCalls()) {
     const Status status = call(*client);
@@ -831,34 +825,47 @@ TEST_F(WireGoldenTest, RequestsAndRepliesMatchRecordedBytes) {
   }
 }
 
-// The pipelined path sends the same request with the request-id flag
-// and a varint id after the method byte, and reads a tagged reply.
+// A call that overlaps another sends the same request with the
+// request-id flag and a varint id after the method byte, and reads a
+// tagged reply. Each typed call here waits behind an async ping that
+// went out plain, and reads that ping's reply for it.
 TEST_F(WireGoldenTest, PipelinedRequestsCarryTheIdAndTheSameFields) {
-  std::unique_ptr<RemoteHam> client = Connect(/*pipeline=*/true);
+  std::unique_ptr<RemoteHam> client = Connect();
   ASSERT_NE(client, nullptr);
   const Context ctx{300};
+  RemoteHam::PendingCall first = client->CallAsync(Method::kPing, "one");
   ASSERT_TRUE(client->OpenNode(ctx, 12, 0, {1, 200}).ok());
+  RemoteHam::PendingCall second = client->CallAsync(Method::kPing, "two");
   ASSERT_TRUE(client->ModifyNode(ctx, 12, 1004, "line one\n",
                                  {{40, true, 3}, {41, false, 200}}, "typo")
                   .code() == StatusCode::kConflict);
+  Result<std::string> echo = first.Wait();
+  ASSERT_TRUE(echo.ok()) << echo.status().ToString();
+  EXPECT_EQ(*echo, "one");
+  echo = second.Wait();
+  ASSERT_TRUE(echo.ok()) << echo.status().ToString();
+  EXPECT_EQ(*echo, "two");
   std::vector<LoopbackStream::Exchange> log;
   {
     std::lock_guard<std::mutex> lock(log_mu_);
     log = log_;
   }
-  // Connect's ping is request 1.
-  ASSERT_EQ(log.size(), 3u);
-  for (size_t i = 1; i < log.size(); ++i) {
+  // Connect's ping, then ping / openNode / ping / modifyNode; the
+  // pings are plain, the typed calls take ids 1 and 2.
+  ASSERT_EQ(log.size(), 5u);
+  for (size_t i : {1u, 3u}) {
+    EXPECT_EQ(log[i].request[0], static_cast<char>(Method::kPing)) << i;
+  }
+  for (size_t i : {2u, 4u}) {
     const std::string& tagged = log[i].request;
-    const char* name =
-        i == 1 ? "openNode" : "modifyNode";
+    const char* name = i == 2 ? "openNode" : "modifyNode";
     const Golden* golden = FindGolden(name);
     ASSERT_NE(golden, nullptr);
     const std::string plain = Unhex(golden->request);
     std::string expected;
     expected.push_back(static_cast<char>(
         static_cast<uint8_t>(plain[0]) | kRequestIdFlag));
-    PutVarint64(&expected, i + 1);
+    PutVarint64(&expected, i / 2);
     expected.append(plain.substr(1));
     EXPECT_EQ(Hex(tagged), Hex(expected)) << name;
     EXPECT_EQ(Hex(log[i].reply), golden->reply) << name;
