@@ -141,5 +141,20 @@ std::string RequestDispatcher::Handle(std::string_view in,
   return std::move(*reply);
 }
 
+std::string RequestDispatcher::Respond(const RequestEnvelope& envelope,
+                                       int load,
+                                       const AdmissionOptions& admission,
+                                       uint32_t retry_after_ms,
+                                       SessionSet* sessions, bool* shed) {
+  *shed = ShouldShed(envelope.method(), load, admission);
+  if (*shed) NEPTUNE_METRIC_COUNT("server.shed", 1);
+  std::string reply = *shed ? ShedReply(load, retry_after_ms)
+                            : Handle(envelope.request(), sessions);
+  if (!envelope.tagged) return reply;
+  std::string tagged;
+  PutVarint64(&tagged, envelope.request_id);
+  return tagged + reply;
+}
+
 }  // namespace rpc
 }  // namespace neptune

@@ -47,6 +47,15 @@ struct RequestEnvelope {
   bool tagged = false;
   uint64_t request_id = 0;
   TraceContext remote_ctx;  // zeroed when the request came plain
+
+  std::string_view request() const {
+    return std::string_view(payload).substr(offset);
+  }
+  Method method() const {
+    return request().empty()
+               ? Method{0}
+               : static_cast<Method>(static_cast<uint8_t>(request().front()));
+  }
 };
 
 // Parses the optional kTraceContextFlag / kRequestIdFlag extensions in
@@ -87,6 +96,15 @@ class RequestDispatcher {
   explicit RequestDispatcher(ham::HamInterface* ham) : ham_(ham) {}
 
   std::string Handle(std::string_view request, SessionSet* sessions);
+
+  // The reply to one parsed request as it goes on the wire: ShedReply
+  // when admission at `load` refuses it (*shed set, `server.shed`
+  // counted), else Handle's; a tagged request's id goes in front so
+  // the client can match replies that arrive out of order.
+  std::string Respond(const RequestEnvelope& envelope, int load,
+                      const AdmissionOptions& admission,
+                      uint32_t retry_after_ms, SessionSet* sessions,
+                      bool* shed);
 
  private:
   ham::HamInterface* ham_;

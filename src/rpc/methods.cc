@@ -276,7 +276,7 @@ constexpr MethodInfo kMethods[] = {
     // Replication. A fetch is a pure read of committed WAL bytes (the
     // ack it carries is monotonic and safe to repeat), but it may
     // long-poll for new commits.
-    {M::kReplFetch, "replFetch", C::kLongPoll, &Serve<&H::ReplFetch>},
+    {M::kReplFetch, "replFetch", C::kRead, &Serve<&H::ReplFetch>},
     {M::kReplStatus, "replStatus", C::kRead, &Serve<&H::ReplStatus>},
     {M::kReplListGraphs, "replListGraphs", C::kRead,
      &Serve<&H::ReplListGraphs>},
@@ -331,7 +331,6 @@ const MethodInfo& Describe(Method method) {
 bool IsIdempotent(Method method) {
   switch (Describe(method).cls) {
     case MethodClass::kRead:
-    case MethodClass::kLongPoll:
     case MethodClass::kDiagnostic:
       return true;
     case MethodClass::kMutation:
@@ -339,12 +338,6 @@ bool IsIdempotent(Method method) {
       return false;
   }
   return false;
-}
-
-bool MayWaitOnAnotherClient(Method method) {
-  const MethodClass cls = Describe(method).cls;
-  return cls == MethodClass::kMutation || cls == MethodClass::kRelease ||
-         cls == MethodClass::kLongPoll;
 }
 
 bool IsAlwaysAdmitted(Method method) {

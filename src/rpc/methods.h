@@ -1,9 +1,9 @@
 // The method table: every wire method declared once. A row gives the
-// method's id, its wire name, its class (which decides retries,
-// admission and reply batching) and the handler that serves it. Most
-// handlers are Serve<&HamInterface::Member>, which decodes the
-// arguments by the member's parameter types (rpc/codec.h), calls it and
-// encodes its Result; the rest are written by hand in methods.cc.
+// method's id, its wire name, its class (which decides retries and
+// admission) and the handler that serves it. Most handlers are
+// Serve<&HamInterface::Member>, which decodes the arguments by the
+// member's parameter types (rpc/codec.h), calls it and encodes its
+// Result; the rest are written by hand in methods.cc.
 //
 // Adding a method that maps onto one HamInterface member takes one id
 // below, one row in methods.cc and one RemoteHam::Invoke line.
@@ -94,8 +94,8 @@ enum class Method : uint8_t {
 };
 
 enum class MethodClass : uint8_t {
-  // Idempotent, and never waits on another client: safe to re-send
-  // after a transport failure; shed first under load.
+  // Idempotent: safe to re-send after a transport failure; shed first
+  // under load. Includes replFetch, whose long poll waits for commits.
   kRead,
   // May have committed when its reply was lost, so never re-sent after
   // it left; may wait for the graph's writer slot; shed only above the
@@ -104,9 +104,6 @@ enum class MethodClass : uint8_t {
   // A mutation that shrinks the server's obligations (commit, abort,
   // close): always admitted.
   kRelease,
-  // An idempotent read that may wait on another client (replFetch's
-  // long poll waits for commits).
-  kLongPoll,
   // Idempotent and always admitted: what an operator needs to look at
   // an overloaded server (ping, statistics, traces).
   kDiagnostic,
@@ -135,11 +132,6 @@ inline const char* MethodName(Method method) { return Describe(method).name; }
 // True for methods a client may safely re-send after a transport
 // failure without knowing whether the lost request was executed.
 bool IsIdempotent(Method method);
-
-// True for methods whose execution may wait on another client — for
-// the graph's writer slot or for new commits. Reads take the graph lock
-// only for one operation, so they never wait on a client.
-bool MayWaitOnAnotherClient(Method method);
 
 // True for methods load shedding never refuses.
 bool IsAlwaysAdmitted(Method method);

@@ -9,8 +9,8 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <utility>
 
-#include "common/coding.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -33,8 +33,7 @@ uint32_t ServerSpanNameId(Method method) {
 }
 
 // Server health gauges (see docs/OBSERVABILITY.md): queue depth is
-// decoded requests not yet started (plain ones behind the one running
-// in their read, tagged ones on their connection's pending list),
+// decoded requests not yet started (on their connection's queue),
 // ordered backlog the plain ones among them, outbuf bytes framed
 // replies not yet written to any socket.
 Gauge* QueueDepthGauge() {
@@ -65,50 +64,45 @@ struct Server::Request {
   RequestEnvelope envelope;
   std::string rejected;  // the error reply when the envelope was refused
 
-  // Whether running this may wait on another client (rpc/methods.h).
-  bool MayWaitOnAnotherClient() const {
-    if (!rejected.empty()) return false;
-    const std::string_view payload =
-        std::string_view(envelope.payload).substr(envelope.offset);
-    return !payload.empty() &&
-           rpc::MayWaitOnAnotherClient(
-               static_cast<Method>(static_cast<uint8_t>(payload.front())));
-  }
+  // Refused envelopes are answered plain.
+  bool tagged() const { return rejected.empty() && envelope.tagged; }
 };
 
-// Replies one thread produced for one connection and has not yet
-// handed to it.
-struct Server::Batch {
-  std::string out;
-  int answered = 0;
-  bool ok = true;  // false: a reply could not be framed
-};
-
-// One connection. The thread that set `reader_busy` owns the decoder;
-// everything below the mutex is guarded by it.
+// One connection; everything below the mutex is guarded by it. It is
+// read under the mutex too, so one read at a time decodes and queues.
 struct Server::Conn {
   explicit Conn(int fd) : fd(fd) {}
   ~Conn() { ::close(fd); }
 
   const int fd;
-  FrameDecoder decoder;
   SessionSet sessions;
   std::atomic<int64_t> last_active_us{0};
 
   std::mutex mu;
+  FrameDecoder decoder;
   std::string outbuf;  // framed reply bytes not yet written
   size_t out_off = 0;  // bytes of outbuf already written
+  bool flushing = false;  // a thread is writing, with the mutex released
   int inflight = 0;    // requests read and not yet answered
-  // A thread is reading this connection, or running the plain requests
-  // it read: no other read may start.
-  bool reader_busy = false;
+  // Plain requests read and not yet answered: the connection is not
+  // read while there are any, and they run one at a time.
+  int plain = 0;
+  bool plain_running = false;
   bool closing = false;  // no further reads: EOF, protocol error, reap, Stop
   bool broken = false;   // the peer cannot be written to; replies are dropped
   bool torn_down = false;
-  // Tagged requests read and not yet started. Any thread serving the
-  // connection takes the next one, so a tagged request that blocks
-  // never holds up the others read with it.
+  // Requests read and not yet started, in arrival order. Any thread
+  // serving the connection takes the next one it may start, so a
+  // request that blocks never holds up the tagged ones read with it.
   std::deque<Request> pending;
+
+  // The first queued request that may start now: a tagged one, or the
+  // oldest plain one while no plain request runs.
+  std::deque<Request>::iterator NextLocked() {
+    return std::find_if(pending.begin(), pending.end(), [&](const Request& r) {
+      return r.tagged() || !plain_running;
+    });
+  }
 
   bool Unflushed() const { return out_off < outbuf.size(); }
 
@@ -118,33 +112,51 @@ struct Server::Conn {
     OutbufBytesGauge()->Add(static_cast<int64_t>(frames.size()));
   }
 
-  // Writes as much of outbuf as the socket takes; the rest waits for
-  // writability. A hard error breaks the connection.
-  void FlushLocked() {
-    const size_t before = outbuf.size() - out_off;
+  // Writes outbuf until it is empty or the socket is full; the rest
+  // waits for writability. One thread writes at a time, with `lock`
+  // released, so replies that finish meanwhile leave with its next
+  // send(). A hard error breaks the connection.
+  void Flush(std::unique_lock<std::mutex>* lock) {
+    if (flushing) return;
+    flushing = true;
     while (Unflushed() && !broken) {
-      const ssize_t n = ::send(fd, outbuf.data() + out_off,
-                               outbuf.size() - out_off, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        broken = closing = true;  // peer gone mid-write
+      std::string bytes = std::move(outbuf);
+      outbuf.clear();
+      size_t off = std::exchange(out_off, 0);
+      const size_t from = off;
+      bool full = false;
+      lock->unlock();
+      while (off < bytes.size()) {
+        const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off,
+                                 MSG_NOSIGNAL);
+        if (n < 0) {
+          if (errno == EINTR) continue;
+          full = errno == EAGAIN || errno == EWOULDBLOCK;
+          break;
+        }
+        off += static_cast<size_t>(n);
+      }
+      lock->lock();
+      OutbufBytesGauge()->Add(-static_cast<int64_t>(off - from));
+      if (off < bytes.size()) {
+        // The rest goes back in front of the replies appended meanwhile.
+        bytes.append(outbuf);
+        outbuf = std::move(bytes);
+        out_off = off;
+        // Peer gone mid-write, or broken meanwhile: drop it all.
+        if (!full || broken) BreakLocked();
         break;
       }
-      out_off += static_cast<size_t>(n);
     }
-    if (broken || !Unflushed()) {
-      outbuf.clear();
-      out_off = 0;
-    }
-    OutbufBytesGauge()->Add(static_cast<int64_t>(outbuf.size() - out_off) -
-                            static_cast<int64_t>(before));
+    flushing = false;
   }
 
   // Nothing more can be delivered: drop what is buffered, read no more.
   void BreakLocked() {
     broken = closing = true;
-    FlushLocked();
+    OutbufBytesGauge()->Add(-static_cast<int64_t>(outbuf.size() - out_off));
+    outbuf.clear();
+    out_off = 0;
   }
 };
 
@@ -223,7 +235,7 @@ void Server::Stop() {
         conn->closing = true;
         ::shutdown(conn->fd, SHUT_RD);
       }
-      if (expired && conn->inflight == 0 && !conn->reader_busy) {
+      if (expired && conn->inflight == 0) {
         conn->BreakLocked();
       }
       Settle(conn, &lock);
@@ -317,18 +329,15 @@ void Server::ServeConn(const std::shared_ptr<Conn>& conn,
                        const Poller::Event& ev) {
   std::unique_lock<std::mutex> lock(conn->mu);
   if (conn->torn_down) return;
-  if (ev.writable) conn->FlushLocked();
-  if ((ev.readable || ev.error) && !conn->reader_busy && !conn->closing) {
-    conn->reader_busy = true;
-    lock.unlock();
-    ReadConn(conn, &lock);
+  if (ev.writable) conn->Flush(&lock);
+  if ((ev.readable || ev.error) && !conn->closing && conn->plain == 0) {
+    ReadConn(conn.get());
   }
   RunPending(conn, &lock);
   Settle(conn, &lock);
 }
 
-void Server::ReadConn(const std::shared_ptr<Conn>& conn,
-                      std::unique_lock<std::mutex>* lock) {
+void Server::ReadConn(Conn* conn) {
   // Read what the socket holds, bounded per wake-up for fairness.
   std::vector<std::string> payloads;
   Status fed;
@@ -363,112 +372,83 @@ void Server::ReadConn(const std::shared_ptr<Conn>& conn,
     budget -= static_cast<size_t>(n);
   }
 
-  // Frame extensions (trace context, request id) are parsed by the
-  // shared envelope logic in rpc/dispatch.h. Plain requests (and
-  // refused envelopes, whose error replies are plain) run in order on
-  // this thread; tagged ones join the connection's pending list.
-  std::vector<Request> in_order;
-  std::vector<Request> tagged;
+  // Every request joins the queue in arrival order. Frame extensions
+  // (trace context, request id) are parsed by the shared envelope logic
+  // in rpc/dispatch.h; a refused envelope leaves its error reply in
+  // `rejected`.
+  int plain = 0;
   for (std::string& payload : payloads) {
     NEPTUNE_METRIC_COUNT("rpc.bytes_in", payload.size());
-    Request request;
-    // A refused envelope leaves its error reply in `rejected`.
+    Request& request = conn->pending.emplace_back();
     ParseRequestEnvelope(std::move(payload), &request.envelope,
                          &request.rejected);
-    const bool plain = !request.rejected.empty() || !request.envelope.tagged;
-    (plain ? in_order : tagged).push_back(std::move(request));
+    if (!request.tagged()) ++plain;
   }
-  const int n = static_cast<int>(payloads.size());
-  const int plain = static_cast<int>(in_order.size());
+  int n = static_cast<int>(payloads.size());
+  if (!fed.ok()) {
+    // Protocol abuse (oversized length prefix, CRC mismatch): a last
+    // plain reply tells the peer why before hanging up. Framing may be
+    // out of sync, so the connection itself cannot survive.
+    NEPTUNE_LOG(Warn) << "event=protocol_error code="
+                      << StatusCodeToString(fed.code()) << " detail=\""
+                      << fed.message() << "\"";
+    conn->pending.emplace_back().rejected = StatusReply(fed);
+    ++n;
+    ++plain;
+    conn->closing = true;
+    ::shutdown(conn->fd, SHUT_RD);
+  }
   inflight_.fetch_add(n, std::memory_order_relaxed);
   InflightGauge()->Add(n);
   QueueDepthGauge()->Add(n);
   OrderedBacklogGauge()->Add(plain);
-
-  lock->lock();
+  conn->inflight += n;
+  conn->plain += plain;
   if (eof) conn->closing = true;
   if (reset) conn->BreakLocked();
-  if (!fed.ok()) {
-    conn->closing = true;
-    ::shutdown(conn->fd, SHUT_RD);
-  }
-  conn->inflight += n;
-  for (Request& request : tagged) conn->pending.push_back(std::move(request));
-  if (plain == 0 && fed.ok()) {
-    conn->reader_busy = false;
-    return;
-  }
-  // Plain requests (and a protocol-error reply) keep the in-order
-  // contract: the connection stays unreadable until their replies are
-  // written. Settle still arms it for the pending tagged requests, so
-  // an idle thread can run those meanwhile.
-  Settle(conn, lock);
-  Batch batch;
-  for (Request& request : in_order) Run(conn.get(), lock, &request, &batch);
-  if (!fed.ok()) {
-    // Protocol abuse (oversized length prefix, CRC mismatch): tell the
-    // peer why before hanging up. Framing may be out of sync, so the
-    // connection itself cannot survive.
-    NEPTUNE_LOG(Warn) << "event=protocol_error code="
-                      << StatusCodeToString(fed.code()) << " detail=\""
-                      << fed.message() << "\"";
-    batch.out += FramePayload(StatusReply(fed));
-  }
-  lock->lock();
-  Deliver(conn.get(), &batch);
-  conn->reader_busy = false;
 }
 
 void Server::RunPending(const std::shared_ptr<Conn>& conn,
                         std::unique_lock<std::mutex>* lock) {
-  Batch batch;
-  bool armed = false;
-  while (!conn->pending.empty()) {
-    Request request = std::move(conn->pending.front());
-    conn->pending.pop_front();
-    if (!armed) {
-      // Re-arm before running the first one: the next read, or the
-      // next pending request, goes to an idle thread instead of
-      // waiting on this one. A thread woken that way arms again before
-      // its own first request, so one arm per thread keeps the chain
-      // going. Settle cannot tear down here: this request is in flight.
+  bool settled = false;
+  for (auto next = conn->NextLocked(); next != conn->pending.end();
+       next = conn->NextLocked()) {
+    Request request = std::move(*next);
+    conn->pending.erase(next);
+    const bool tagged = request.tagged();
+    if (!tagged) conn->plain_running = true;
+    if (!settled) {
+      // Settle before the first request: the next read, or a queued
+      // request this one does not hold up, goes to an idle thread
+      // instead of waiting on this one. A thread woken that way settles
+      // before its own first request, so once per thread keeps the
+      // chain going. Before a lone plain request it arms nothing (the
+      // connection is not read while the request is unanswered), so
+      // that costs no syscall. Settle cannot tear down here: this
+      // request is in flight.
       Settle(conn, lock);
-      armed = true;
+      settled = true;
     } else {
       lock->unlock();
     }
-    Run(conn.get(), lock, &request, &batch);
+    const std::string reply = Execute(conn.get(), &request);
     lock->lock();
+    // The reply leaves as soon as its request is done.
+    if (reply.empty()) {
+      conn->BreakLocked();
+    } else {
+      conn->AppendLocked(reply);
+    }
+    --conn->inflight;
+    if (!tagged) {
+      --conn->plain;
+      conn->plain_running = false;
+    }
+    inflight_.fetch_sub(1, std::memory_order_relaxed);
+    InflightGauge()->Decrement();
+    conn->last_active_us.store(Now(), std::memory_order_relaxed);
+    conn->Flush(lock);
   }
-  if (batch.answered != 0) Deliver(conn.get(), &batch);
-}
-
-void Server::Run(Conn* conn, std::unique_lock<std::mutex>* lock,
-                 Request* request, Batch* batch) {
-  // Replies this thread holds go out with the next one, one send for
-  // several, unless this request may wait on another client: that
-  // client may be waiting for one of them.
-  if (batch->answered != 0 && request->MayWaitOnAnotherClient()) {
-    lock->lock();
-    Deliver(conn, batch);
-    lock->unlock();
-  }
-  if (!Execute(conn, request, &batch->out)) batch->ok = false;
-  ++batch->answered;
-}
-
-void Server::Deliver(Conn* conn, Batch* batch) {
-  if (batch->ok) {
-    conn->AppendLocked(batch->out);
-  } else {
-    conn->BreakLocked();
-  }
-  conn->inflight -= batch->answered;
-  inflight_.fetch_sub(batch->answered, std::memory_order_relaxed);
-  InflightGauge()->Add(-batch->answered);
-  conn->last_active_us.store(Now(), std::memory_order_relaxed);
-  conn->FlushLocked();
-  *batch = Batch();
 }
 
 int Server::Load() {
@@ -495,75 +475,60 @@ int Server::Load() {
   return inflight + waiting_.load(std::memory_order_relaxed);
 }
 
-bool Server::Execute(Conn* conn, Request* request, std::string* out) {
+std::string Server::Execute(Conn* conn, Request* request) {
   QueueDepthGauge()->Decrement();
-  const RequestEnvelope& envelope = request->envelope;
-  const bool tagged = request->rejected.empty() && envelope.tagged;
-  if (!tagged) OrderedBacklogGauge()->Decrement();
+  if (!request->tagged()) OrderedBacklogGauge()->Decrement();
   if (busy_threads_.load(std::memory_order_relaxed) >=
       options_.worker_threads) {
     NEPTUNE_METRIC_COUNT("server.workers.saturated", 1);
   }
   std::string reply = std::move(request->rejected);
   if (reply.empty()) {
-    const std::string_view payload =
-        std::string_view(envelope.payload).substr(envelope.offset);
-    const Method method =
-        payload.empty()
-            ? Method{0}
-            : static_cast<Method>(static_cast<uint8_t>(payload.front()));
+    const RequestEnvelope& envelope = request->envelope;
     // Root span for this request's server-side work. It adopts the
     // client's context when one arrived, self-roots otherwise.
-    ScopedSpan span(ServerSpanNameId(method), envelope.remote_ctx);
-    const AdmissionOptions admission{options_.max_inflight_requests,
-                                     options_.shed_inflight_requests};
+    ScopedSpan span(ServerSpanNameId(envelope.method()), envelope.remote_ctx);
     int load;
-    bool shed;
     {
       NEPTUNE_TRACE_SPAN(admission_span, "rpc.server.admission");
       load = Load();
-      shed = ShouldShed(method, load, admission);
     }
-    if (shed) {
-      NEPTUNE_METRIC_COUNT("server.shed", 1);
-      if (span.active()) {
-        span.Annotate("shed=1 inflight=" + std::to_string(load));
-      }
-      reply = ShedReply(load, options_.retry_after_ms);
-    } else {
-      reply = dispatcher_.Handle(payload, &conn->sessions);
+    bool shed = false;
+    reply = dispatcher_.Respond(
+        envelope, load,
+        {options_.max_inflight_requests, options_.shed_inflight_requests},
+        options_.retry_after_ms, &conn->sessions, &shed);
+    if (shed && span.active()) {
+      span.Annotate("shed=1 inflight=" + std::to_string(load));
     }
   }
-  // Tagged replies echo the request id ahead of the status so the
-  // pipelined client can match them out of order.
-  std::string id_prefix;
-  if (tagged) PutVarint64(&id_prefix, envelope.request_id);
-  const size_t total = id_prefix.size() + reply.size();
-  NEPTUNE_METRIC_COUNT("rpc.bytes_out", total);
-  if (total > options_.max_frame_bytes) {
+  NEPTUNE_METRIC_COUNT("rpc.bytes_out", reply.size());
+  if (reply.size() > options_.max_frame_bytes) {
     // Mirrors FrameStream::SendFrame: a reply that cannot be framed
     // kills the connection.
-    NEPTUNE_LOG(Warn) << "event=reply_overflow bytes=" << total
+    NEPTUNE_LOG(Warn) << "event=reply_overflow bytes=" << reply.size()
                       << " limit=" << options_.max_frame_bytes;
-    return false;
+    return {};
   }
-  AppendFrame(id_prefix, reply, out);
-  return true;
+  return FramePayload(reply);
 }
 
 void Server::Settle(const std::shared_ptr<Conn>& conn,
                     std::unique_lock<std::mutex>* lock) {
   Conn& c = *conn;
-  const bool want_read = !c.closing && !c.reader_busy;
-  // Write interest also stands in for pending tagged requests: a
-  // writable socket wakes an idle thread to run the next one.
-  const bool want_write = c.Unflushed() || !c.pending.empty();
+  const bool want_read = !c.closing && c.plain == 0;
+  // Write interest is for replies parked on a full socket (bytes
+  // appended during a flush leave with the flusher's next send()), and
+  // stands in for a queued request that may start: a writable socket
+  // wakes an idle thread to run it.
+  const bool want_write = (c.Unflushed() && !c.flushing) ||
+                          c.NextLocked() != c.pending.end();
   if ((want_read || want_write) &&
       !poller_->Arm(c.fd, want_read, want_write).ok()) {
     c.BreakLocked();
   }
-  if (!c.closing || c.torn_down || c.inflight != 0 || c.reader_busy ||
-      c.Unflushed()) {
+  if (!c.closing || c.torn_down || c.inflight != 0 || c.Unflushed() ||
+      c.flushing) {
     lock->unlock();
     return;
   }
@@ -606,8 +571,7 @@ void Server::ReapIdleConns() {
       now - static_cast<int64_t>(options_.idle_timeout_ms) * 1000;
   for (auto& conn : SnapshotConns()) {
     std::unique_lock<std::mutex> lock(conn->mu);
-    if (conn->closing || conn->reader_busy || conn->inflight != 0 ||
-        conn->Unflushed() ||
+    if (conn->closing || conn->inflight != 0 || conn->Unflushed() ||
         conn->last_active_us.load(std::memory_order_relaxed) > cutoff_us) {
       continue;
     }

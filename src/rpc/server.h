@@ -9,21 +9,23 @@
 // against the HAM, writes the replies and re-arms the connection.
 // There is no hand-off between an IO thread and a worker.
 //
-// One-shot arming is what keeps the wire contract. A connection that
-// delivered a plain request stays disarmed until its reply is written,
-// so plain requests are answered one at a time, in order. Requests
-// carrying the kRequestIdFlag extension may complete out of order —
-// that is how a pipelined client keeps N requests in flight on one
-// connection — so they go on a per-connection pending list, and the
-// connection is re-armed before each one runs: for reading, and for
-// writability while more are pending, which wakes an idle thread to
-// take the next. A slow tagged request never blocks the next read nor
-// the tagged requests read with it. A thread sends the replies it
-// produced together, but never holds them while it runs a request
-// that may wait on another client. Sessions opened by a
-// connection are closed automatically when it disconnects — a crashed
-// client aborts its open transaction, which the HAM recovers from
-// completely.
+// A read only decodes: every request, plain or tagged, joins the
+// connection's queue in arrival order, and one loop runs it. Each
+// reply is written as soon as its request finishes, so no reply waits
+// for another request; replies share a send() only when they finish
+// while another thread's send() to the connection is in progress.
+// Plain requests run one at a time, in order, and the connection is
+// not read again until they are all answered; that keeps the
+// historical in-order contract. Requests carrying the kRequestIdFlag
+// extension may complete out of order — that is how a pipelined
+// client keeps N requests in flight on one connection — so any thread
+// serving the connection may start one, and a thread re-arms the
+// connection before its first: for reading, and for writability while
+// another request may start, which wakes an idle thread to take it. A
+// slow request never blocks the next read nor the tagged requests read
+// with it. Sessions opened by a connection are closed automatically
+// when it disconnects — a crashed client aborts its open transaction,
+// which the HAM recovers from completely.
 
 #ifndef NEPTUNE_RPC_SERVER_H_
 #define NEPTUNE_RPC_SERVER_H_
@@ -107,33 +109,23 @@ class Server {
  private:
   struct Conn;
   struct Request;  // one decoded request
-  struct Batch;    // replies one thread holds for a connection
 
   void ThreadMain();
   void AcceptReady();
   // Handles one readiness event for `conn` on the calling thread.
   void ServeConn(const std::shared_ptr<Conn>& conn, const Poller::Event& ev);
-  // Reads and decodes what the socket holds, queues the tagged requests
-  // on the connection and runs the plain ones in order. Called with
-  // reader_busy set and `lock` released; returns with `lock` held.
-  void ReadConn(const std::shared_ptr<Conn>& conn,
-                std::unique_lock<std::mutex>* lock);
-  // Runs the connection's pending tagged requests one at a time.
-  // Called and returns with `lock` held.
+  // Under conn->mu: reads and decodes what the socket holds and queues
+  // every request it carries, in arrival order. Runs none of them.
+  void ReadConn(Conn* conn);
+  // The one loop that runs requests: takes the connection's queued
+  // requests one at a time while one may start, and writes each reply
+  // as soon as its request returns. Called and returns with `lock`
+  // held.
   void RunPending(const std::shared_ptr<Conn>& conn,
                   std::unique_lock<std::mutex>* lock);
-  // Runs one request into `batch`, first delivering the replies the
-  // batch holds if this request may wait on another client. Called and
-  // returns with `lock` released.
-  void Run(Conn* conn, std::unique_lock<std::mutex>* lock, Request* request,
-           Batch* batch);
-  // Under conn->mu: queues the batch's replies (or breaks the
-  // connection when one could not be framed), writes what the socket
-  // takes and empties the batch.
-  void Deliver(Conn* conn, Batch* batch);
-  // Runs one request and appends its framed reply to `out`; false if
-  // the reply is too large to frame (the connection must die).
-  bool Execute(Conn* conn, Request* request, std::string* out);
+  // Runs one request and returns its framed reply; empty if the reply
+  // is too large to frame (the connection must die).
+  std::string Execute(Conn* conn, Request* request);
   // The admission-control load: requests read and not yet answered,
   // plus, while every thread is busy, the connections with unread
   // bytes.

@@ -4,10 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/coding.h"
-#include "common/metrics.h"
-#include "rpc/wire.h"
-
 namespace neptune {
 namespace sim {
 
@@ -95,39 +91,27 @@ void SimNode::OnFrame(uint64_t conn_id, std::string payload) {
     net_->SendToClient(conn_id, std::move(error_reply));
     return;
   }
-  const std::string_view request =
-      std::string_view(envelope.payload).substr(envelope.offset);
-  const rpc::Method method =
-      request.empty() ? rpc::Method{0}
-                      : static_cast<rpc::Method>(
-                            static_cast<uint8_t>(request.front()));
+  const std::string label =
+      "svc." + options_.name + "." + rpc::MethodName(envelope.method());
   ++inflight_;
   // The request occupies the server for service_time_us of virtual
   // time; the reply is computed (and admission judged) at completion,
   // with every request admitted in the window still counted — that is
   // what lets the retry-storm scenario actually shed.
   clock_->Schedule(
-      options_.service_time_us,
-      "svc." + options_.name + "." + rpc::MethodName(method),
-      [this, conn_id, method, envelope = std::move(envelope)]() mutable {
+      options_.service_time_us, label,
+      [this, conn_id, envelope = std::move(envelope)] {
         const int inflight = inflight_;
         --inflight_;
         if (!up_) return;
         auto conn = conns_.find(conn_id);
         if (conn == conns_.end()) return;  // client vanished meanwhile
-        std::string reply;
-        if (rpc::ShouldShed(method, inflight, options_.admission)) {
-          NEPTUNE_METRIC_COUNT("server.shed", 1);
-          reply = rpc::ShedReply(inflight, options_.retry_after_ms);
-        } else {
-          const std::string_view request =
-              std::string_view(envelope.payload).substr(envelope.offset);
-          reply = dispatcher_->Handle(request, &conn->second.sessions);
-        }
-        std::string framed;
-        if (envelope.tagged) PutVarint64(&framed, envelope.request_id);
-        framed += reply;
-        net_->SendToClient(conn_id, std::move(framed));
+        bool shed = false;
+        net_->SendToClient(
+            conn_id, dispatcher_->Respond(envelope, inflight,
+                                          options_.admission,
+                                          options_.retry_after_ms,
+                                          &conn->second.sessions, &shed));
       });
 }
 

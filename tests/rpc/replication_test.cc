@@ -328,12 +328,16 @@ TEST_F(ReplicationTest, CheckpointRollsFollowerWithoutResync) {
   ASSERT_TRUE(WaitFor([&] {
     return replicator_->progress("").rolls >= 1 && replicator_->AllCaughtUp();
   })) << "rolls=" << replicator_->progress("").rolls;
-  EXPECT_EQ(replicator_->progress("").resyncs, 1u)
-      << "the roll must not force a snapshot";
 
+  // Caught up as of the follower's last fetch, which may have run
+  // between two of the writes above: wait for the follower to hold
+  // them all, as SteadyStateTailShipsCommits does.
   auto fctx = follower_->OpenGraph(project_, "local", follower_dir_);
   ASSERT_TRUE(fctx.ok()) << fctx.status().ToString();
-  EXPECT_EQ(FollowerNodeCount(*fctx), 4u);
+  ASSERT_TRUE(WaitFor([&] { return FollowerNodeCount(*fctx) == 4u; }))
+      << "follower stuck at " << FollowerNodeCount(*fctx) << " nodes";
+  EXPECT_EQ(replicator_->progress("").resyncs, 1u)
+      << "the roll must not force a snapshot";
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(FollowerContents(*fctx, nodes[i]),
               "after roll #" + std::to_string(i));

@@ -3,7 +3,8 @@
 // from the wire contract — connections never wait on each other, plain
 // requests are answered in order even when a later one is fast, a
 // request that waits on another client never holds up the requests or
-// replies read with it, a peer that stops reading parks its replies
+// replies read with it, a finished reply is never held behind a slow
+// read, a peer that stops reading parks its replies
 // instead of a thread, a disconnect mid-request cleans up its session
 // exactly once, and
 // clients queued unread behind busy threads still trigger load
@@ -24,6 +25,7 @@
 #include "rpc/remote_ham.h"
 #include "rpc/server.h"
 #include "rpc/wire.h"
+#include "tests/rpc/slow_time_stamp_ham.h"
 
 namespace neptune {
 namespace rpc {
@@ -99,7 +101,8 @@ class ServerThreadingTest : public ::testing::Test {
     ham::HamOptions options;
     options.sync_commits = false;
     engine_ = std::make_unique<ham::Ham>(Env::Default(), options);
-    server_ = std::make_unique<Server>(engine_.get(), server_options);
+    slow_ = std::make_unique<SlowTimeStampHam>(engine_.get());
+    server_ = std::make_unique<Server>(slow_.get(), server_options);
     auto port = server_->Start(0);
     ASSERT_TRUE(port.ok()) << port.status().ToString();
     port_ = *port;
@@ -108,6 +111,7 @@ class ServerThreadingTest : public ::testing::Test {
   void TearDown() override {
     server_->Stop();
     server_.reset();
+    slow_.reset();
     engine_.reset();
     Env::Default()->RemoveDirRecursive(dir_);
   }
@@ -155,6 +159,7 @@ class ServerThreadingTest : public ::testing::Test {
 
   std::string dir_;
   std::unique_ptr<ham::Ham> engine_;
+  std::unique_ptr<SlowTimeStampHam> slow_;  // the HAM the server runs on
   std::unique_ptr<Server> server_;
   uint16_t port_ = 0;
   std::unique_ptr<RemoteHam> holder_;
@@ -340,6 +345,85 @@ TEST_F(ServerThreadingTest, ReplyIsNotHeldBehindAPlainRequestThatWaits) {
   in = *aborted;
   ASSERT_TRUE(DecodeStatusFrom(&in, &status));
   EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
+TEST_F(ServerThreadingTest, FinishedReplyIsNotHeldBehindASlowRead) {
+  CreateGraph();
+  auto holder_ctx = holder_->OpenGraph(project_, "localhost", dir_);
+  ASSERT_TRUE(holder_ctx.ok());
+  auto added = holder_->AddNode(*holder_ctx, true);
+  ASSERT_TRUE(added.ok()) << added.status().ToString();
+  auto stream = FrameStream::Connect("localhost", port_);
+  ASSERT_TRUE(stream.ok());
+  ASSERT_TRUE((*stream)->SetTimeouts(10000, 10000).ok());
+  const uint64_t session = OpenRawSession(stream->get());
+  ASSERT_NE(session, 0u);
+  std::string open = SessionRequest(Method::kOpenNode, session);
+  PutVarint64(&open, added->node);
+  PutVarint64(&open, 0);  // time: now
+  PutVarint64(&open, 0);  // no attributes
+  std::string stamp = SessionRequest(Method::kGetNodeTimeStamp, session);
+  PutVarint64(&stamp, added->node);
+  // Each reply as it reads alone, so the burst's replies can be told
+  // apart.
+  auto alone = [&](const std::string& request) {
+    EXPECT_TRUE((*stream)->SendFrame(request).ok());
+    auto reply = (*stream)->RecvFrame();
+    return reply.ok() ? *reply : std::string();
+  };
+  const std::string open_reply = alone(open);
+  const std::string stamp_reply = alone(stamp);
+  ASSERT_FALSE(open_reply.empty());
+  ASSERT_FALSE(stamp_reply.empty());
+  auto tag = [](uint64_t id, const std::string& reply) {
+    std::string tagged;
+    PutVarint64(&tagged, id);
+    return tagged + reply;
+  };
+
+  // Sends `requests` in one send() and returns each reply with the
+  // milliseconds from the send to its arrival.
+  slow_->time_stamp_delay_ms.store(300);
+  using Clock = std::chrono::steady_clock;
+  auto burst = [&](const std::vector<std::string>& requests) {
+    std::string bytes;
+    for (const std::string& request : requests) AppendFrame({}, request, &bytes);
+    const auto sent = Clock::now();
+    EXPECT_TRUE((*stream)->SendBytes(bytes).ok());
+    std::vector<std::pair<std::string, int64_t>> replies;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      auto reply = (*stream)->RecvFrame();
+      const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          Clock::now() - sent)
+                          .count();
+      replies.emplace_back(reply.ok() ? *reply : std::string(), ms);
+    }
+    return replies;
+  };
+
+  // Tagged, fast first: the fast reply leaves when it is done.
+  auto replies = burst({Tagged(open, 1), Tagged(stamp, 2)});
+  EXPECT_EQ(replies[0].first, tag(1, open_reply));
+  EXPECT_LT(replies[0].second, 100) << "tagged reply held behind a slow read";
+  EXPECT_EQ(replies[1].first, tag(2, stamp_reply));
+
+  // Tagged, slow first: the fast one overtakes it.
+  replies = burst({Tagged(stamp, 3), Tagged(open, 4)});
+  EXPECT_EQ(replies[0].first, tag(4, open_reply));
+  EXPECT_LT(replies[0].second, 100) << "tagged reply held behind a slow read";
+  EXPECT_EQ(replies[1].first, tag(3, stamp_reply));
+
+  // Plain, fast first: the fast reply leaves when it is done.
+  replies = burst({open, stamp});
+  EXPECT_EQ(replies[0].first, open_reply);
+  EXPECT_LT(replies[0].second, 100) << "plain reply held behind a slow read";
+  EXPECT_EQ(replies[1].first, stamp_reply);
+
+  // Plain, slow first: replies still leave in request order.
+  replies = burst({stamp, open});
+  EXPECT_EQ(replies[0].first, stamp_reply);
+  EXPECT_GE(replies[0].second, 300);
+  EXPECT_EQ(replies[1].first, open_reply);
 }
 
 TEST_F(ServerThreadingTest, StalledReaderParksRepliesAndStallsNoOne) {
