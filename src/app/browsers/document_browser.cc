@@ -1,8 +1,7 @@
 #include "app/browsers/document_browser.h"
 
-#include <algorithm>
+#include <unordered_map>
 
-#include "app/browsers/node_browser.h"
 #include "app/document.h"
 
 namespace neptune {
@@ -22,47 +21,22 @@ std::string Cell(const std::string& text) {
 
 }  // namespace
 
-Result<std::vector<ham::NodeIndex>> DocumentBrowser::ChildrenOf(
-    ham::NodeIndex node, ham::Time time) {
-  NEPTUNE_ASSIGN_OR_RETURN(ham::AttributeIndex relation,
-                           ham_->GetAttributeIndex(ctx_, Conventions::kRelation));
-  NEPTUNE_ASSIGN_OR_RETURN(ham::OpenNodeResult opened,
-                           ham_->OpenNode(ctx_, node, time, {}));
-  struct Child {
-    uint64_t position;
-    ham::LinkIndex link;
-    ham::NodeIndex node;
-  };
-  std::vector<Child> children;
-  for (const ham::Attachment& att : opened.attachments) {
-    if (!att.is_source_end) continue;
-    Result<std::string> rel =
-        ham_->GetLinkAttributeValue(ctx_, att.link, relation, time);
-    if (!rel.ok() || *rel != Conventions::kIsPartOf) continue;
-    NEPTUNE_ASSIGN_OR_RETURN(ham::LinkEndResult end,
-                             ham_->GetToNode(ctx_, att.link, time));
-    children.push_back(Child{att.position, att.link, end.node});
-  }
-  std::sort(children.begin(), children.end(),
-            [](const Child& a, const Child& b) {
-              return a.position != b.position ? a.position < b.position
-                                              : a.link < b.link;
-            });
-  std::vector<ham::NodeIndex> out;
-  out.reserve(children.size());
-  for (const Child& c : children) out.push_back(c.node);
-  return out;
-}
-
 Result<std::string> DocumentBrowser::Render(
     const DocumentBrowserOptions& options) {
-  NEPTUNE_ASSIGN_OR_RETURN(ham::AttributeIndex icon,
-                           ham_->GetAttributeIndex(ctx_, Conventions::kIcon));
-
-  auto title_of = [&](ham::NodeIndex node) {
-    Result<std::string> title =
-        ham_->GetNodeAttributeValue(ctx_, node, icon, options.time);
-    return title.ok() ? *title : "#" + std::to_string(node);
+  if (icon_ == 0) {
+    NEPTUNE_ASSIGN_OR_RETURN(
+        icon_, ham_->GetAttributeIndex(ctx_, Conventions::kIcon));
+  }
+  // Every row is a node of one of the two SubGraphs below, so every
+  // row's title is in here.
+  std::unordered_map<ham::NodeIndex, std::string> titles;
+  auto add_titles = [&](const ham::SubGraph& graph) {
+    for (const ham::SubGraphNode& node : graph.nodes) {
+      titles.emplace(node.node,
+                     DisplayTitle(node.node, node.attribute_values.empty()
+                                                 ? std::nullopt
+                                                 : node.attribute_values[0]));
+    }
   };
 
   // Level 0: getGraphQuery with the user's predicate; each further
@@ -71,19 +45,29 @@ Result<std::string> DocumentBrowser::Render(
   NEPTUNE_ASSIGN_OR_RETURN(
       ham::SubGraph queried,
       ham_->GetGraphQuery(ctx_, options.time, options.query_predicate, "",
-                          {}, {}));
+                          {icon_}, {}));
+  add_titles(queried);
   std::vector<std::vector<ham::NodeIndex>> levels(1);
   for (const auto& node : queried.nodes) levels[0].push_back(node.node);
 
   ham::NodeIndex selected = 0;
-  for (size_t level = 0; level < options.selection.size(); ++level) {
-    if (level >= levels.size()) break;
-    const size_t row = options.selection[level];
-    if (row >= levels[level].size()) break;
-    selected = levels[level][row];
-    NEPTUNE_ASSIGN_OR_RETURN(std::vector<ham::NodeIndex> children,
-                             ChildrenOf(selected, options.time));
-    levels.push_back(std::move(children));
+  if (!options.selection.empty() && options.selection[0] < levels[0].size()) {
+    NEPTUNE_ASSIGN_OR_RETURN(
+        ham::SubGraph tree,
+        ham_->LinearizeGraph(ctx_, levels[0][options.selection[0]],
+                             options.time, "", "relation = isPartOf",
+                             {icon_}, {}));
+    add_titles(tree);
+    std::unordered_map<ham::NodeIndex, std::vector<ham::NodeIndex>> children;
+    for (const ham::SubGraphLink& link : tree.links) {
+      children[link.from].push_back(link.to);
+    }
+    for (size_t level = 0; level < options.selection.size(); ++level) {
+      const size_t row = options.selection[level];
+      if (row >= levels[level].size()) break;
+      selected = levels[level][row];
+      levels.push_back(children[selected]);
+    }
   }
 
   // The four visible panes start at pane_offset (pane shifting).
@@ -116,7 +100,7 @@ Result<std::string> DocumentBrowser::Render(
         const bool is_selected = level < options.selection.size() &&
                                  options.selection[level] == row;
         out += is_selected ? '>' : ' ';
-        out += Cell(title_of(panes[pane][row]));
+        out += Cell(titles[panes[pane][row]]);
       } else {
         out += std::string(kPaneWidth - 1, ' ');
       }
@@ -127,9 +111,8 @@ Result<std::string> DocumentBrowser::Render(
 
   // Lower pane: a node browser on the deepest selection.
   if (selected != 0) {
-    NodeBrowser node_browser(ham_, ctx_);
     NEPTUNE_ASSIGN_OR_RETURN(std::string body,
-                             node_browser.Render(selected, options.time));
+                             node_browser_.Render(selected, options.time));
     out += body;
   }
   return out;

@@ -5,6 +5,14 @@
 // node-list in each pane to the right is formed by accessing the
 // immediate descendents of the selected node in the left adjacent
 // pane via the linearizeGraph HAM operation."
+//
+// A render is exactly those two operations (plus the node browser
+// below). Level 0 is one getGraphQuery. Every deeper level lies under
+// the level-0 selection, so one linearizeGraph over its isPartOf links
+// holds them all: level k+1 is the links out of level k's selection,
+// in the traversal's (offset, link) order. Titles come back with the
+// rows. An isPartOf link whose target does not exist at the viewed
+// time is left out of its pane.
 
 #ifndef NEPTUNE_APP_BROWSERS_DOCUMENT_BROWSER_H_
 #define NEPTUNE_APP_BROWSERS_DOCUMENT_BROWSER_H_
@@ -12,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "app/browsers/node_browser.h"
 #include "common/result.h"
 #include "ham/ham_interface.h"
 
@@ -36,17 +45,15 @@ struct DocumentBrowserOptions {
 class DocumentBrowser {
  public:
   DocumentBrowser(ham::HamInterface* ham, ham::Context ctx)
-      : ham_(ham), ctx_(ctx) {}
+      : ham_(ham), ctx_(ctx), node_browser_(ham, ctx) {}
 
   Result<std::string> Render(const DocumentBrowserOptions& options);
 
  private:
-  // Immediate isPartOf descendants of `node`, in offset order.
-  Result<std::vector<ham::NodeIndex>> ChildrenOf(ham::NodeIndex node,
-                                                 ham::Time time);
-
   ham::HamInterface* ham_;
   ham::Context ctx_;
+  ham::AttributeIndex icon_ = 0;  // interned on first use
+  NodeBrowser node_browser_;      // the lower pane
 };
 
 }  // namespace app

@@ -29,10 +29,9 @@ Result<std::string> GraphBrowser::Render(const GraphBrowserOptions& options) {
   // Titles.
   std::map<ham::NodeIndex, std::string> title;
   for (const auto& node : graph.nodes) {
-    title[node.node] = (!node.attribute_values.empty() &&
-                        node.attribute_values[0].has_value())
-                           ? *node.attribute_values[0]
-                           : "#" + std::to_string(node.node);
+    title[node.node] = DisplayTitle(node.node, node.attribute_values.empty()
+                                                   ? std::nullopt
+                                                   : node.attribute_values[0]);
   }
 
   // Adjacency and BFS layering from the in-degree-0 roots.

@@ -8,29 +8,20 @@
 namespace neptune {
 namespace app {
 
-namespace {
-
-std::string TitleOf(ham::HamInterface* ham, ham::Context ctx,
-                    ham::NodeIndex node, ham::AttributeIndex icon,
-                    ham::Time time) {
-  Result<std::string> title = ham->GetNodeAttributeValue(ctx, node, icon, time);
-  return title.ok() ? *title : "#" + std::to_string(node);
-}
-
-}  // namespace
-
 Result<std::string> NodeBrowser::Render(ham::NodeIndex node, ham::Time time) {
-  NEPTUNE_ASSIGN_OR_RETURN(ham::AttributeIndex icon,
-                           ham_->GetAttributeIndex(ctx_, Conventions::kIcon));
-  NEPTUNE_ASSIGN_OR_RETURN(ham::AttributeIndex relation,
-                           ham_->GetAttributeIndex(ctx_, Conventions::kRelation));
+  if (icon_ == 0) {
+    NEPTUNE_ASSIGN_OR_RETURN(
+        icon_, ham_->GetAttributeIndex(ctx_, Conventions::kIcon));
+  }
+  if (relation_ == 0) {
+    NEPTUNE_ASSIGN_OR_RETURN(
+        relation_, ham_->GetAttributeIndex(ctx_, Conventions::kRelation));
+  }
   NEPTUNE_ASSIGN_OR_RETURN(ham::OpenNodeResult opened,
-                           ham_->OpenNode(ctx_, node, time, {icon}));
-  const std::string title =
-      (!opened.attribute_values.empty() &&
-       opened.attribute_values[0].has_value())
-          ? *opened.attribute_values[0]
-          : "#" + std::to_string(node);
+                           ham_->OpenNode(ctx_, node, time, {icon_}));
+  const std::string title = DisplayTitle(
+      node, opened.attribute_values.empty() ? std::nullopt
+                                            : opened.attribute_values[0]);
 
   std::string header = "Node Browser - " + title;
   if (time != 0) header += " @ t=" + std::to_string(time);
@@ -59,17 +50,21 @@ Result<std::string> NodeBrowser::Render(ham::NodeIndex node, ham::Time time) {
     row.link = att.link;
     row.outgoing = att.is_source_end;
     Result<std::string> rel =
-        ham_->GetLinkAttributeValue(ctx_, att.link, relation, time);
+        ham_->GetLinkAttributeValue(ctx_, att.link, relation_, time);
     row.relation = rel.ok() ? *rel : "link";
     Result<ham::LinkEndResult> other =
         att.is_source_end ? ham_->GetToNode(ctx_, att.link, time)
                           : ham_->GetFromNode(ctx_, att.link, time);
     if (other.ok()) {
-      row.other = TitleOf(ham_, ctx_, other->node, icon, time);
+      Result<std::string> other_title =
+          ham_->GetNodeAttributeValue(ctx_, other->node, icon_, time);
+      row.other = DisplayTitle(
+          other->node, other_title.ok() ? std::optional(*other_title)
+                                        : std::nullopt);
     }
     if (att.is_source_end) {
       Result<std::string> link_icon =
-          ham_->GetLinkAttributeValue(ctx_, att.link, icon, time);
+          ham_->GetLinkAttributeValue(ctx_, att.link, icon_, time);
       std::string name = link_icon.ok() ? *link_icon : row.other;
       markers.push_back(Marker{att.position, "[>" + name + "]"});
     }

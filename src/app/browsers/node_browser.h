@@ -28,6 +28,10 @@ class NodeBrowser {
  private:
   ham::HamInterface* ham_;
   ham::Context ctx_;
+  // Interned on first use: interning commits at once and is
+  // append-only, so an index never changes for the graph.
+  ham::AttributeIndex icon_ = 0;
+  ham::AttributeIndex relation_ = 0;
 };
 
 class NodeDifferencesBrowser {

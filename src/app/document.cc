@@ -5,6 +5,11 @@
 namespace neptune {
 namespace app {
 
+std::string DisplayTitle(ham::NodeIndex node,
+                         const std::optional<std::string>& icon) {
+  return icon.has_value() ? *icon : "#" + std::to_string(node);
+}
+
 Status DocumentModel::Init() {
   NEPTUNE_ASSIGN_OR_RETURN(icon_,
                            ham_->GetAttributeIndex(ctx_, Conventions::kIcon));
@@ -136,8 +141,7 @@ Result<ham::LinkIndex> DocumentModel::AddReference(ham::NodeIndex from,
 
 std::string DocumentModel::TitleOf(ham::NodeIndex node, ham::Time time) {
   Result<std::string> icon = ham_->GetNodeAttributeValue(ctx_, node, icon_, time);
-  if (icon.ok()) return *icon;
-  return "#" + std::to_string(node);
+  return DisplayTitle(node, icon.ok() ? std::optional(*icon) : std::nullopt);
 }
 
 Result<std::vector<OutlineEntry>> DocumentModel::Outline(ham::NodeIndex root,
@@ -162,12 +166,9 @@ Result<std::vector<OutlineEntry>> DocumentModel::Outline(ham::NodeIndex root,
   for (const auto& node : graph.nodes) {
     OutlineEntry entry;
     entry.node = node.node;
-    if (!node.attribute_values.empty() &&
-        node.attribute_values[0].has_value()) {
-      entry.title = *node.attribute_values[0];
-    } else {
-      entry.title = "#" + std::to_string(node.node);
-    }
+    entry.title = DisplayTitle(node.node, node.attribute_values.empty()
+                                              ? std::nullopt
+                                              : node.attribute_values[0]);
     auto pit = parent.find(node.node);
     if (node.node == root || pit == parent.end()) {
       entry.depth = 0;

@@ -10,6 +10,7 @@
 #ifndef NEPTUNE_APP_DOCUMENT_H_
 #define NEPTUNE_APP_DOCUMENT_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,10 @@ struct Conventions {
   static constexpr char kAnnotates[] = "annotates";
   static constexpr char kReferences[] = "references";
 };
+
+// Display title of a node: its icon value, or "#<index>" without one.
+std::string DisplayTitle(ham::NodeIndex node,
+                         const std::optional<std::string>& icon);
 
 // One section in a document outline.
 struct OutlineEntry {

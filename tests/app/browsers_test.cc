@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "app/browsers/canvas.h"
 #include "app/browsers/document_browser.h"
 #include "app/browsers/graph_browser.h"
@@ -39,6 +43,147 @@ TEST(TextCanvasTest, LinesAndNegativeCoordinatesIgnored) {
   std::string out = canvas.ToString();
   EXPECT_EQ(out.substr(0, 5), "|----");
 }
+
+// Forwards every HamInterface call to `base` and counts it by name, so
+// a test can pin how many HAM operations a render costs.
+class CountingHam final : public ham::HamInterface {
+ public:
+  explicit CountingHam(ham::HamInterface* base) : base_(base) {}
+
+  std::map<std::string, int> calls;
+
+#define COUNTED(Ret, Name, Params, Args) \
+  Ret Name Params override {             \
+    ++calls[#Name];                      \
+    return base_->Name Args;             \
+  }
+  COUNTED(Result<ham::CreateGraphResult>, CreateGraph,
+          (const std::string& dir, uint32_t protections), (dir, protections))
+  COUNTED(Status, DestroyGraph, (ham::ProjectId project, const std::string& dir),
+          (project, dir))
+  COUNTED(Result<ham::Context>, OpenGraph,
+          (ham::ProjectId project, const std::string& machine,
+           const std::string& dir),
+          (project, machine, dir))
+  COUNTED(Status, CloseGraph, (ham::Context ctx), (ctx))
+  COUNTED(Status, BeginTransaction, (ham::Context ctx), (ctx))
+  COUNTED(Status, CommitTransaction, (ham::Context ctx), (ctx))
+  COUNTED(Status, AbortTransaction, (ham::Context ctx), (ctx))
+  COUNTED(Result<ham::AddNodeResult>, AddNode,
+          (ham::Context ctx, bool keep_history), (ctx, keep_history))
+  COUNTED(Status, DeleteNode, (ham::Context ctx, ham::NodeIndex node),
+          (ctx, node))
+  COUNTED(Result<ham::AddLinkResult>, AddLink,
+          (ham::Context ctx, const ham::LinkPt& from, const ham::LinkPt& to),
+          (ctx, from, to))
+  COUNTED(Result<ham::AddLinkResult>, CopyLink,
+          (ham::Context ctx, ham::LinkIndex link, ham::Time time,
+           bool copy_source, const ham::LinkPt& other),
+          (ctx, link, time, copy_source, other))
+  COUNTED(Status, DeleteLink, (ham::Context ctx, ham::LinkIndex link),
+          (ctx, link))
+  COUNTED(Result<ham::SubGraph>, LinearizeGraph,
+          (ham::Context ctx, ham::NodeIndex start, ham::Time time,
+           const std::string& node_pred, const std::string& link_pred,
+           const std::vector<ham::AttributeIndex>& node_attrs,
+           const std::vector<ham::AttributeIndex>& link_attrs),
+          (ctx, start, time, node_pred, link_pred, node_attrs, link_attrs))
+  COUNTED(Result<ham::SubGraph>, GetGraphQuery,
+          (ham::Context ctx, ham::Time time, const std::string& node_pred,
+           const std::string& link_pred,
+           const std::vector<ham::AttributeIndex>& node_attrs,
+           const std::vector<ham::AttributeIndex>& link_attrs),
+          (ctx, time, node_pred, link_pred, node_attrs, link_attrs))
+  COUNTED(Result<ham::OpenNodeResult>, OpenNode,
+          (ham::Context ctx, ham::NodeIndex node, ham::Time time,
+           const std::vector<ham::AttributeIndex>& attrs),
+          (ctx, node, time, attrs))
+  COUNTED(Status, ModifyNode,
+          (ham::Context ctx, ham::NodeIndex node, ham::Time expected_time,
+           const std::string& contents,
+           const std::vector<ham::AttachmentUpdate>& attachments,
+           const std::string& explanation),
+          (ctx, node, expected_time, contents, attachments, explanation))
+  COUNTED(Result<ham::Time>, GetNodeTimeStamp,
+          (ham::Context ctx, ham::NodeIndex node), (ctx, node))
+  COUNTED(Status, ChangeNodeProtection,
+          (ham::Context ctx, ham::NodeIndex node, uint32_t protections),
+          (ctx, node, protections))
+  COUNTED(Result<ham::NodeVersions>, GetNodeVersions,
+          (ham::Context ctx, ham::NodeIndex node), (ctx, node))
+  COUNTED(Result<std::vector<delta::Difference>>, GetNodeDifferences,
+          (ham::Context ctx, ham::NodeIndex node, ham::Time t1, ham::Time t2),
+          (ctx, node, t1, t2))
+  COUNTED(Result<ham::LinkEndResult>, GetToNode,
+          (ham::Context ctx, ham::LinkIndex link, ham::Time time),
+          (ctx, link, time))
+  COUNTED(Result<ham::LinkEndResult>, GetFromNode,
+          (ham::Context ctx, ham::LinkIndex link, ham::Time time),
+          (ctx, link, time))
+  COUNTED(Result<std::vector<ham::AttributeEntry>>, GetAttributes,
+          (ham::Context ctx, ham::Time time), (ctx, time))
+  COUNTED(Result<std::vector<std::string>>, GetAttributeValues,
+          (ham::Context ctx, ham::AttributeIndex attr, ham::Time time),
+          (ctx, attr, time))
+  COUNTED(Result<ham::AttributeIndex>, GetAttributeIndex,
+          (ham::Context ctx, const std::string& name), (ctx, name))
+  COUNTED(Status, SetNodeAttributeValue,
+          (ham::Context ctx, ham::NodeIndex node, ham::AttributeIndex attr,
+           const std::string& value),
+          (ctx, node, attr, value))
+  COUNTED(Status, DeleteNodeAttribute,
+          (ham::Context ctx, ham::NodeIndex node, ham::AttributeIndex attr),
+          (ctx, node, attr))
+  COUNTED(Result<std::string>, GetNodeAttributeValue,
+          (ham::Context ctx, ham::NodeIndex node, ham::AttributeIndex attr,
+           ham::Time time),
+          (ctx, node, attr, time))
+  COUNTED(Result<std::vector<ham::AttributeValueEntry>>, GetNodeAttributes,
+          (ham::Context ctx, ham::NodeIndex node, ham::Time time),
+          (ctx, node, time))
+  COUNTED(Status, SetLinkAttributeValue,
+          (ham::Context ctx, ham::LinkIndex link, ham::AttributeIndex attr,
+           const std::string& value),
+          (ctx, link, attr, value))
+  COUNTED(Status, DeleteLinkAttribute,
+          (ham::Context ctx, ham::LinkIndex link, ham::AttributeIndex attr),
+          (ctx, link, attr))
+  COUNTED(Result<std::string>, GetLinkAttributeValue,
+          (ham::Context ctx, ham::LinkIndex link, ham::AttributeIndex attr,
+           ham::Time time),
+          (ctx, link, attr, time))
+  COUNTED(Result<std::vector<ham::AttributeValueEntry>>, GetLinkAttributes,
+          (ham::Context ctx, ham::LinkIndex link, ham::Time time),
+          (ctx, link, time))
+  COUNTED(Status, SetGraphDemonValue,
+          (ham::Context ctx, ham::Event event, const std::string& demon),
+          (ctx, event, demon))
+  COUNTED(Result<std::vector<ham::DemonEntry>>, GetGraphDemons,
+          (ham::Context ctx, ham::Time time), (ctx, time))
+  COUNTED(Status, SetNodeDemon,
+          (ham::Context ctx, ham::NodeIndex node, ham::Event event,
+           const std::string& demon),
+          (ctx, node, event, demon))
+  COUNTED(Result<std::vector<ham::DemonEntry>>, GetNodeDemons,
+          (ham::Context ctx, ham::NodeIndex node, ham::Time time),
+          (ctx, node, time))
+  COUNTED(Result<ham::ContextInfo>, CreateContext,
+          (ham::Context ctx, const std::string& name), (ctx, name))
+  COUNTED(Result<ham::Context>, OpenContext,
+          (ham::Context ctx, ham::ThreadId thread), (ctx, thread))
+  COUNTED(Status, MergeContext,
+          (ham::Context ctx, ham::ThreadId source, bool force),
+          (ctx, source, force))
+  COUNTED(Result<std::vector<ham::ContextInfo>>, ListContexts,
+          (ham::Context ctx), (ctx))
+  COUNTED(Status, Checkpoint, (ham::Context ctx), (ctx))
+  COUNTED(Result<ham::GraphStats>, GetStats, (ham::Context ctx), (ctx))
+  COUNTED(Result<ham::ThreadId>, ContextThread, (ham::Context ctx), (ctx))
+#undef COUNTED
+
+ private:
+  ham::HamInterface* base_;
+};
 
 class BrowsersTest : public ham::HamTestBase {
  protected:
@@ -153,6 +298,95 @@ TEST_F(BrowsersTest, DocumentBrowserWithNoSelectionShowsOnlyQueryPane) {
   ASSERT_TRUE(out.ok());
   EXPECT_NE(out->find("SIGMOD Paper"), std::string::npos);
   EXPECT_EQ(out->find("Node Browser"), std::string::npos);
+}
+
+TEST_F(BrowsersTest, DocumentBrowserPaneIsOneQueryAndOneLinearize) {
+  // Figure 2: the upper-left pane is one getGraphQuery, and every pane
+  // to its right comes from one linearizeGraph, titles included.
+  ham::NodeIndex deeper =
+      *model_->AddSection(detail_, "paper", "Deeper", "..\n", 0);
+  ASSERT_TRUE(model_->AddSection(deeper, "paper", "Deepest", ".\n", 0).ok());
+  CountingHam counting(ham_.get());
+  DocumentBrowser browser(&counting, ctx_);
+  DocumentBrowserOptions options;
+  options.query_predicate = "document = paper";
+  options.selection = {0, 0, 0, 0};  // root > Spec > Detail > Deeper
+  ASSERT_TRUE(browser.Render(options).ok());  // warm: interns `icon`
+
+  counting.calls.clear();
+  auto out = browser.Render(options);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_NE(out->find(">Detail"), std::string::npos);
+  EXPECT_NE(out->find("| Deeper"), std::string::npos);
+  EXPECT_NE(out->find("Node Browser - Deeper"), std::string::npos);
+  std::map<std::string, int> pane_calls = counting.calls;
+
+  // What is left once the lower pane's own calls are taken out is the
+  // two list-pane operations and nothing else.
+  NodeBrowser lower(&counting, ctx_);
+  ASSERT_TRUE(lower.Render(deeper, 0).ok());  // warm
+  counting.calls.clear();
+  ASSERT_TRUE(lower.Render(deeper, 0).ok());
+  for (const auto& [name, count] : counting.calls) pane_calls[name] -= count;
+  for (auto it = pane_calls.begin(); it != pane_calls.end();) {
+    it = it->second == 0 ? pane_calls.erase(it) : std::next(it);
+  }
+  const std::map<std::string, int> expected = {{"GetGraphQuery", 1},
+                                               {"LinearizeGraph", 1}};
+  EXPECT_EQ(pane_calls, expected);
+  // A warm node browser does not re-intern its attributes either.
+  EXPECT_EQ(counting.calls.count("GetAttributeIndex"), 0u);
+}
+
+TEST_F(BrowsersTest, DocumentBrowserAtAPastTimeOmitsALaterSection) {
+  const ham::Time before = ham_->GetStats(ctx_)->current_time;
+  ASSERT_TRUE(
+      model_->AddSection(spec_, "paper", "Late", "Added later.\n", 5).ok());
+  DocumentBrowser browser(ham_.get(), ctx_);
+  DocumentBrowserOptions options;
+  options.query_predicate = "document = paper";
+  options.selection = {0, 0};  // root > Spec
+  options.time = before;
+  auto past = browser.Render(options);
+  ASSERT_TRUE(past.ok()) << past.status().ToString();
+  EXPECT_NE(past->find("| Detail"), std::string::npos);
+  EXPECT_EQ(past->find("Late"), std::string::npos);
+
+  options.time = 0;
+  auto now = browser.Render(options);
+  ASSERT_TRUE(now.ok()) << now.status().ToString();
+  EXPECT_NE(now->find("| Late"), std::string::npos);
+}
+
+TEST_F(BrowsersTest, DocumentBrowserRowsFollowMovedAttachments) {
+  // Swap the root's two sections by moving their attachment offsets:
+  // Spec from 0 to 20, Design from 10 to 5.
+  auto opened = ham_->OpenNode(ctx_, root_, 0, {});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::vector<ham::AttachmentUpdate> updates;
+  for (const ham::Attachment& att : opened->attachments) {
+    ASSERT_TRUE(att.is_source_end);
+    updates.push_back(ham::AttachmentUpdate{
+        att.link, true, att.position == 0 ? uint64_t{20} : uint64_t{5}});
+  }
+  ASSERT_EQ(updates.size(), 2u);
+  ASSERT_TRUE(ham_->ModifyNode(ctx_, root_, opened->current_version_time,
+                               std::string(32, '.') + "\n", updates,
+                               "reorder")
+                  .ok());
+
+  DocumentBrowser browser(ham_.get(), ctx_);
+  DocumentBrowserOptions options;
+  options.query_predicate = "document = paper";
+  options.selection = {0, 0};  // root, then its first child by offset
+  auto out = browser.Render(options);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  const size_t design = out->find(">Design");
+  const size_t spec = out->find("| Spec");
+  ASSERT_NE(design, std::string::npos) << *out;
+  ASSERT_NE(spec, std::string::npos) << *out;
+  EXPECT_LT(design, spec);
+  EXPECT_NE(out->find("Node Browser - Design"), std::string::npos);
 }
 
 TEST_F(BrowsersTest, NodeBrowserShowsInlineLinkIcons) {

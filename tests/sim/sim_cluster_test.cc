@@ -40,6 +40,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -176,12 +177,14 @@ struct ScenarioResult {
   uint32_t trace_hash = 0;
   uint64_t events_run = 0;
   std::string verdict;  // human-readable outcome summary
+  std::vector<std::string> trace;  // every hashed line, when recorded
 };
 
 // gtest ASSERTs need a void function; the result lands in *out only
 // when the whole scenario ran clean.
 void RunPartitionPromoteScenario(uint64_t seed, const std::string& root,
-                                 ScenarioResult* out) {
+                                 ScenarioResult* out,
+                                 bool record_trace = false) {
   SimClusterOptions options;
   options.seed = seed;
   options.root = root;
@@ -191,6 +194,7 @@ void RunPartitionPromoteScenario(uint64_t seed, const std::string& root,
   options.default_link.delay_us = 400;
   options.default_link.jitter_us = 1200;
   SimCluster cluster(Env::Default(), options);
+  cluster.clock()->set_record_trace(record_trace);
 
   // Boot: create the graph on node0 through the wire protocol.
   auto client = cluster.NewClient("client", 0);
@@ -284,6 +288,7 @@ void RunPartitionPromoteScenario(uint64_t seed, const std::string& root,
 
   out->trace_hash = cluster.clock()->trace_hash();
   out->events_run = cluster.clock()->events_run();
+  out->trace = cluster.clock()->trace();
   out->verdict = "acked=" + std::to_string(acked.size()) +
                  " term=" + std::to_string(s1->term) +
                  " stale_rejects=" + std::to_string(stale_rejects) +
@@ -350,6 +355,36 @@ TEST(SimClusterTest, DeterminismSameSeed) {
   Env::Default()->RemoveDirRecursive(root_a);
   Env::Default()->RemoveDirRecursive(root_b);
   Env::Default()->RemoveDirRecursive(root_c);
+}
+
+TEST(SimClusterTest, ServiceEventsNameTheirMethod) {
+  // The trace hash only proves that two runs of one build agree, so pin
+  // what the events say: every request a simulated server serves is
+  // labelled svc.<node>.<method> with a real method name. Labels, not a
+  // hash value, so the check holds under every compiler.
+  const uint64_t seed = BaseSeed();
+  SCOPED_TRACE(ReproLine("ServiceEventsNameTheirMethod", seed));
+  MetricsRegistry::Instance().ResetForTest();
+  const std::string root = FreshRoot("svc_" + std::to_string(seed));
+  ScenarioResult result;
+  RunPartitionPromoteScenario(seed, root, &result, /*record_trace=*/true);
+  if (::testing::Test::HasFailure()) return;
+  size_t served = 0;
+  std::set<std::string> methods;
+  for (const std::string& line : result.trace) {
+    const size_t at = line.find(" ev=svc.");
+    if (at == std::string::npos) continue;
+    ++served;
+    const std::string method = line.substr(line.rfind('.') + 1);
+    EXPECT_NE(method, "unknown") << line;
+    methods.insert(method);
+  }
+  EXPECT_GT(served, 0u) << "no service event in the trace";
+  // The scenario writes through the wire and replicates to followers.
+  EXPECT_EQ(methods.count("addNode"), 1u);
+  EXPECT_EQ(methods.count("modifyNode"), 1u);
+  EXPECT_EQ(methods.count("replFetch"), 1u);
+  Env::Default()->RemoveDirRecursive(root);
 }
 
 TEST(SimClusterTest, LeaseAbortClientVanish) {
